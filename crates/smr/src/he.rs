@@ -17,12 +17,10 @@
 //! the paper's calibration; both variants are exposed for the ablation bench).
 
 use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore, Limbo};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,70 +36,54 @@ struct HeSlot {
 
 /// The hazard-eras domain.
 pub struct He {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: DomainCore,
+    limbo: Limbo,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<HeSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`He::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for He {
     type Handle = HeHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(HeSlot {
-                    eras: std::array::from_fn(|_| AtomicU64::new(NONE)),
-                })
-            })
-            .collect();
+        let core = DomainCore::new(config);
+        let n = core.config.max_threads;
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            limbo: Limbo::new(n),
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
+            slots: (0..n)
+                .map(|_| {
+                    CachePadded::new(HeSlot {
+                        eras: std::array::from_fn(|_| AtomicU64::new(NONE)),
+                    })
+                })
                 .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
+            core,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        for e in &self.slots[claim.index].eras {
+        let core = self.core.try_register()?;
+        for e in &self.slots[core.index()].eras {
             // ORDERING: Relaxed — the slot is not yet visible to sweeps (the
             // claim CAS publishes it, and sweeps skip unclaimed slots); real
             // reservations are published with SeqCst in `protect`/`announce`.
             e.store(NONE, Ordering::Relaxed);
         }
         Ok(HeHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            core,
             alloc_count: 0,
             retire_count: 0,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
-        if self.config.snapshot_scan {
+        if self.core.config.snapshot_scan {
             SmrKind::HeOpt
         } else {
             SmrKind::He
@@ -113,7 +95,7 @@ impl He {
     /// True if any thread reserves an era inside `[birth, retire]`.
     fn is_protected(&self, birth: u64, retire: u64) -> bool {
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             for e in &slot.eras {
@@ -128,9 +110,9 @@ impl He {
 
     /// Snapshot of every reserved era, sorted (HEopt sweep).
     fn snapshot(&self) -> Vec<u64> {
-        let mut snap = Vec::with_capacity(self.config.max_threads * 2);
+        let mut snap = Vec::with_capacity(self.core.config.max_threads * 2);
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             for e in &slot.eras {
@@ -144,100 +126,28 @@ impl He {
         snap
     }
 
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let mut freed = 0usize;
-        if self.config.snapshot_scan {
-            let snap = self.snapshot();
-            limbo.retain(|r| {
-                // Keep the node if some reserved era falls inside its lifetime
-                // interval: the first snapshot entry >= birth, if any, decides.
-                let birth = r.birth_era();
-                let retire = r.retire_era();
-                let idx = snap.partition_point(|&e| e < birth);
-                let protected = idx < snap.len() && snap[idx] <= retire;
-                if protected {
-                    true
-                } else {
-                    // SAFETY: no reserved era falls inside the node's
-                    // `[birth, retire]` interval (snapshot taken after the
-                    // node was unlinked), so no thread can still hold a
-                    // protected reference to it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
+    /// A retired node is free when no reserved era falls inside its
+    /// `[birth, retire]` lifetime: HEopt checks the first entry `>= birth` of
+    /// one snapshot taken after the node was unlinked; HE rescans every
+    /// claimed slot with SeqCst loads.
+    fn can_free(&self) -> impl FnMut(&Retired) -> bool + '_ {
+        let snap = self.core.config.snapshot_scan.then(|| self.snapshot());
+        move |r| {
+            let (birth, retire) = (r.birth_era(), r.retire_era());
+            match &snap {
+                Some(snap) => {
+                    let idx = snap.partition_point(|&e| e < birth);
+                    idx == snap.len() || snap[idx] > retire
                 }
-            });
-        } else {
-            limbo.retain(|r| {
-                if self.is_protected(r.birth_era(), r.retire_era()) {
-                    true
-                } else {
-                    // SAFETY: a full SeqCst scan found no reservation inside
-                    // the node's lifetime interval, so no thread can still
-                    // hold a protected reference to it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
-    }
-
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
+                None => !self.is_protected(birth, retire),
             }
         }
     }
 
-    /// Adopts slots abandoned by dead threads: clears the dead thread's era
-    /// reservations (sound — the owner can issue no further loads) and drains
-    /// its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                for e in &self.slots[i].eras {
-                    e.store(NONE, Ordering::SeqCst);
-                }
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
-    }
-}
-
-impl Drop for He {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: dropping the domain means no handle (and hence no
-                // guard) exists; no era can be reserved any more.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — no guards can exist at domain drop.
-            unsafe { r.free() };
+    /// Clears a dead or departing slot's era reservations.
+    fn neutralize(&self, slot: usize) {
+        for e in &self.slots[slot].eras {
+            e.store(NONE, Ordering::SeqCst);
         }
     }
 }
@@ -245,10 +155,9 @@ impl Drop for He {
 /// Per-thread handle for [`He`].
 pub struct HeHandle {
     domain: Arc<He>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
     alloc_count: usize,
+    /// Retirements since the last cadence bump (always `< epoch_freq`).
     retire_count: usize,
 }
 
@@ -259,9 +168,7 @@ impl SmrHandle for HeHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HeGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
+        self.core.check_owner(&self.domain.core);
         let repin_era = self.domain.global_era.load(Ordering::SeqCst);
         HeGuard {
             handle: self,
@@ -271,25 +178,33 @@ impl SmrHandle for HeHandle {
     }
 
     fn flush(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
+        let d = &*self.domain;
+        // SAFETY: `can_free` accepts only nodes whose lifetime interval no
+        // reservation covers, checked after the node was unlinked, so no
+        // thread can still hold a protected reference to it.
+        unsafe {
+            d.limbo.collect(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
 impl Drop for HeHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            for e in &domain.slots[self.claim.index].eras {
-                e.store(NONE, Ordering::Release);
-            }
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        let d = &*self.domain;
+        // SAFETY: as in `flush` — the era-interval predicate.
+        unsafe {
+            d.limbo.release(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
@@ -315,7 +230,7 @@ impl Drop for HeGuard<'_> {
         // the set of protected eras (and thus memory) per thread; it is also
         // what makes a panic that unwinds through a traversal drop its
         // protections (RAII unwind safety).
-        for e in &self.handle.domain.slots[self.handle.claim.index].eras {
+        for e in &self.handle.domain.slots[self.handle.core.index()].eras {
             e.store(NONE, Ordering::Release);
         }
     }
@@ -324,7 +239,7 @@ impl Drop for HeGuard<'_> {
 impl HeGuard<'_> {
     #[inline]
     fn eras(&self) -> &[AtomicU64; MAX_HAZARDS] {
-        &self.handle.domain.slots[self.handle.claim.index].eras
+        &self.handle.domain.slots[self.handle.core.index()].eras
     }
 }
 
@@ -336,7 +251,7 @@ impl SmrGuard for HeGuard<'_> {
 
     #[inline]
     fn protect<T>(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let eras = &self.handle.domain.slots[self.handle.claim.index].eras;
+        let eras = &self.handle.domain.slots[self.handle.core.index()].eras;
         let global = &self.handle.domain.global_era;
         // ORDERING: Relaxed — the slot was last written by this same thread
         // (reservations are single-writer); the value is only an avoid-a-store
@@ -379,7 +294,7 @@ impl SmrGuard for HeGuard<'_> {
     }
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
+        let ptr = self.handle.core.alloc(value);
         // ORDERING: Relaxed on both — a conservatively *old* era makes the
         // birth stamp strictly more protective (it widens the protected
         // interval), and the stamp is published to sweepers through the vault
@@ -393,7 +308,7 @@ impl SmrGuard for HeGuard<'_> {
         if self
             .handle
             .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
+            .is_multiple_of(self.handle.domain.core.config.epoch_freq())
         {
             self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
         }
@@ -402,48 +317,14 @@ impl SmrGuard for HeGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain and is already unlinked, so its block header is live.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // ORDERING: Relaxed on both — per-location coherence keeps this era
-        // read no older than any era this thread already observed, and a
-        // conservatively old retire stamp only *narrows* the freeable set;
-        // the stamp reaches sweepers through the vault mutex below.
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: the block is unlinked but not yet in any limbo list; this
-        // thread has exclusive access to its header stamp.
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one scan; safety is unaffected.
-        unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+        // SAFETY: forwarded — the caller guarantees the retire contract.
+        unsafe { self.retire_batch(&[ptr]) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never published.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 
     /// Releases every era reservation — equivalent to drop + pin without the
@@ -458,7 +339,7 @@ impl SmrGuard for HeGuard<'_> {
         if era == self.repin_era {
             return;
         }
-        for e in &self.handle.domain.slots[self.handle.claim.index].eras {
+        for e in &self.handle.domain.slots[self.handle.core.index()].eras {
             e.store(NONE, Ordering::Release);
         }
         self.repin_era = era;
@@ -471,42 +352,26 @@ impl SmrGuard for HeGuard<'_> {
             return;
         }
         let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // scan; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire era cadence across the batch: bump the era
-        // once per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
+        let d = &*handle.domain;
+        // ORDERING: Relaxed — per-location coherence keeps this era read no
+        // older than any era this thread already observed, and a
+        // conservatively old retire stamp only *narrows* the freeable set;
+        // the stamp reaches sweepers through the vault mutex.
+        let era = d.global_era.load(Ordering::Relaxed);
+        // SAFETY: forwarded — the caller guarantees the retire contract for
+        // every element of the batch.
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, Some(era)) };
+        // Era cadence: one bump per `epoch_freq` retirements, however they
+        // were batched (no division on the common no-bump path).
+        let freq = d.core.config.epoch_freq();
         handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle.domain.global_era.fetch_add(bumps, Ordering::SeqCst);
+        if handle.retire_count >= freq {
+            d.global_era
+                .fetch_add((handle.retire_count / freq) as u64, Ordering::SeqCst);
+            handle.retire_count %= freq;
         }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
+        if pending >= d.core.config.scan_threshold {
+            handle.flush();
         }
     }
 }
@@ -627,37 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = He::new(config(true));
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                let cell = Atomic::new(p);
-                g.protect(0, &cell);
-                // SAFETY: `p` is test-local; the published reservation keeps this retire from freeing it.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the reservation stays published and
-                // the slot stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        h.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must clear the dead thread's eras and drain its vault"
-        );
-    }
-
-    #[test]
     fn repin_elides_until_era_moves_then_clears_reservations() {
         let d = He::new(config(false));
         let mut h = d.register();
@@ -684,23 +518,6 @@ mod tests {
         }
         // SAFETY: `p` was never published to another thread.
         unsafe { g.dealloc(p) };
-    }
-
-    #[test]
-    fn retire_batch_reclaims_like_per_node_retire() {
-        for snapshot in [false, true] {
-            let d = He::new(config(snapshot));
-            let mut h = d.register();
-            {
-                let mut g = h.pin();
-                let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-                // SAFETY: each block was just allocated and never published,
-                // so this thread is its sole owner and retires it exactly once.
-                unsafe { g.retire_batch(&batch) };
-            }
-            h.flush();
-            assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
-        }
     }
 
     #[test]

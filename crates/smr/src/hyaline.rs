@@ -63,10 +63,10 @@
 //!   future pushes (stopping the leak from growing) but never recycled, and
 //!   the batches already pinned by its list are leaked permanently.
 
-use crate::block::{header_of, Header};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::{free_block, header_of, Header};
+use crate::pool::BlockPool;
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -124,14 +124,13 @@ unsafe impl Send for HyBatch {}
 
 /// The Hyaline-1S-style reclamation domain.
 pub struct Hyaline {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: DomainCore,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<HySlot>]>,
-    /// Per-slot accumulating batches (see [`HyBatch`]).
+    /// Per-slot accumulating batches (see [`HyBatch`]) — Hyaline's own
+    /// vault, not the shared `Limbo`: batches are pushed to reader slots and
+    /// freed by reference count, never swept.
     vaults: Box<[Mutex<HyBatch>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
     /// Batch size: enough nodes so that one node can be pushed to every slot
     /// plus the REFS node that carries the counter.
     batch_capacity: usize,
@@ -141,51 +140,43 @@ impl Smr for Hyaline {
     type Handle = HyalineHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(HySlot {
-                    head: AtomicU64::new(0),
-                    era: AtomicU64::new(0),
-                })
-            })
-            .collect();
+        let core = DomainCore::new(config);
+        let n = core.config.max_threads;
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(HyBatch::new()))
+            slots: (0..n)
+                .map(|_| {
+                    CachePadded::new(HySlot {
+                        head: AtomicU64::new(0),
+                        era: AtomicU64::new(0),
+                    })
+                })
                 .collect(),
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            batch_capacity: config.max_threads + 1,
-            config,
+            vaults: (0..n).map(|_| Mutex::new(HyBatch::new())).collect(),
+            batch_capacity: n + 1,
+            core,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HyalineHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
+        let core = self.core.try_register()?;
+        let slot = &self.slots[core.index()];
         // ORDERING: Relaxed is enough — the slot is not yet visible to
         // retirers (the claim above publishes it, and `is_claimed` readers
         // synchronize through the registry), so nobody can observe these
         // resets out of order.
-        self.slots[claim.index].head.store(0, Ordering::Relaxed);
+        slot.head.store(0, Ordering::Relaxed);
         // ORDERING: same as the head reset above -- the slot is unclaimed, so this races with nothing.
-        self.slots[claim.index].era.store(0, Ordering::Relaxed);
+        slot.era.store(0, Ordering::Relaxed);
         Ok(HyalineHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            core,
             alloc_count: 0,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -218,7 +209,7 @@ impl Hyaline {
             freed += 1;
             cur = next;
         }
-        self.unreclaimed.sub(slot, freed);
+        self.core.unreclaimed.sub(slot, freed);
     }
 
     /// Acknowledges (decrements) every batch whose node was pushed onto the
@@ -309,7 +300,7 @@ impl Hyaline {
 
         let mut spare = nodes[1..].iter().copied();
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             // Robustness: a thread whose published era predates every node in
@@ -411,41 +402,11 @@ impl Hyaline {
                     .store(self.global_era.load(Ordering::Relaxed), Ordering::Relaxed);
                 nodes.push(hdr);
             }
-            self.unreclaimed.add(counter_slot, 1);
+            self.core.unreclaimed.add(counter_slot, 1);
         }
         // SAFETY: every node is a retired (or fresh dummy) block owned by
         // this batch, threaded and padded to full linkage capacity above.
         unsafe { self.retire_batch(&nodes, min_birth, counter_slot, pool) };
-    }
-
-    /// Adopts slots abandoned by dead threads.  A dead slot's `refs` counter
-    /// is frozen (only its owner could pin): `refs == 0` means the owner died
-    /// outside any critical section, so its accumulated batch is flushed and
-    /// the slot recycled; `refs > 0` means it died *inside* one, its
-    /// acknowledgement boundary is unknowable, and the slot is poisoned (see
-    /// the module docs) before its batch is flushed.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                let (refs, _) = unpack(self.slots[i].head.load(Ordering::SeqCst));
-                if refs == 0 {
-                    // Flush before recycling so a new claimant cannot race us
-                    // for the vault; pushes skip the dead slot itself because
-                    // its refs count is zero.
-                    self.flush_vault(i, my_slot, pool);
-                    adoption.finish();
-                } else {
-                    // Poison first: once the slot stops being `is_claimed`,
-                    // the flush below (and all future pushes) exclude it, so
-                    // the leak stops growing.
-                    adoption.poison();
-                    self.flush_vault(i, my_slot, pool);
-                }
-            }
-        }
     }
 }
 
@@ -456,16 +417,15 @@ impl Drop for Hyaline {
         // of orphaned slots no survivor adopted: free their nodes directly
         // (they were never pushed, so nothing else references them).  Batches
         // pinned by a poisoned slot's list stay leaked — see the module docs.
-        let mut pool = BlockPool::new(self.pool.clone(), 0);
         for (i, vault) in self.vaults.iter().enumerate() {
             let mut vault = vault.lock();
             let n = vault.nodes.len();
             for hdr in vault.nodes.drain(..) {
                 // SAFETY: `&mut self` proves all handles are gone; vault
                 // nodes were never pushed, so nothing else references them.
-                unsafe { pool.free(hdr) };
+                unsafe { free_block(hdr) };
             }
-            self.unreclaimed.sub(i, n);
+            self.core.unreclaimed.sub(i, n);
         }
     }
 }
@@ -473,9 +433,7 @@ impl Drop for Hyaline {
 /// Per-thread handle for [`Hyaline`].
 pub struct HyalineHandle {
     domain: Arc<Hyaline>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
     alloc_count: usize,
 }
 
@@ -486,10 +444,8 @@ impl SmrHandle for HyalineHandle {
         Self: 'g;
 
     fn pin(&mut self) -> HyalineGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
+        self.core.check_owner(&self.domain.core);
+        let slot = &self.domain.slots[self.core.index()];
         let era = self.domain.global_era.load(Ordering::SeqCst);
         slot.era.store(era, Ordering::SeqCst);
         // Enter: bump the slot's reference count.  The fetch_add returns the
@@ -506,20 +462,41 @@ impl SmrHandle for HyalineHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.flush_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
+        let d = &*self.domain;
+        let idx = self.core.index();
+        let pool = &mut self.core.pool;
+        d.flush_vault(idx, idx, pool);
+        // Adopt slots abandoned by dead threads.  A dead slot's `refs`
+        // counter is frozen (only its owner could pin): `refs == 0` means the
+        // owner died outside any critical section, so its accumulated batch
+        // is flushed and the slot recycled; `refs > 0` means it died *inside*
+        // one, its acknowledgement boundary is unknowable, and the slot is
+        // poisoned (see the module docs) before its batch is flushed.
+        d.core.adopt_dead(idx, |i, adoption| {
+            let (refs, _) = unpack(d.slots[i].head.load(Ordering::SeqCst));
+            if refs == 0 {
+                // Flush before recycling so a new claimant cannot race us
+                // for the vault; pushes skip the dead slot itself because
+                // its refs count is zero.
+                d.flush_vault(i, idx, pool);
+                adoption.finish();
+            } else {
+                // Poison first: once the slot stops being `is_claimed`,
+                // the flush below (and all future pushes) exclude it, so
+                // the leak stops growing.
+                adoption.poison();
+                d.flush_vault(i, idx, pool);
+            }
+        });
     }
 }
 
 impl Drop for HyalineHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        let claim = self.claim;
-        let pool = &mut self.pool;
-        domain.registry.release_with(claim, || {
-            domain.flush_vault(claim.index, claim.index, pool);
+        let d = &*self.domain;
+        let core = &mut self.core;
+        d.core.registry.release_with(core.claim, || {
+            d.flush_vault(core.claim.index, core.claim.index, &mut core.pool);
         });
     }
 }
@@ -546,7 +523,7 @@ impl Drop for HyalineGuard<'_> {
         // reference and acknowledges the batches pushed during its critical
         // section (RAII unwind safety).
         let domain = &self.handle.domain;
-        let slot = &domain.slots[self.handle.claim.index];
+        let slot = &domain.slots[self.handle.core.index()];
         // Leave: drop our reference.  If we are the last thread in the slot we
         // also detach the list so the next entrant starts from a clean head.
         let observed = loop {
@@ -576,8 +553,8 @@ impl Drop for HyalineGuard<'_> {
             domain.acknowledge(
                 observed,
                 self.entry_addr,
-                self.handle.claim.index,
-                &mut self.handle.pool,
+                self.handle.core.index(),
+                &mut self.handle.core.pool,
             )
         };
     }
@@ -594,7 +571,7 @@ impl SmrGuard for HyalineGuard<'_> {
         // Same publication protocol as IBR's upper bound: the era is published
         // before the pointer that is returned is (re-)read, so any returned
         // pointer's birth era is covered by the published era.
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         let global = &self.handle.domain.global_era;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -609,7 +586,7 @@ impl SmrGuard for HyalineGuard<'_> {
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         let era = self.handle.domain.global_era.load(Ordering::SeqCst);
         slot.era.store(era, Ordering::SeqCst);
         self.cached_era = era;
@@ -622,7 +599,7 @@ impl SmrGuard for HyalineGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
+        let ptr = self.handle.core.alloc(value);
         // ORDERING: a Relaxed era read can only lag the true era, making the
         // birth stamp conservatively old — strictly more protective for the
         // `-1S` stalled-reader exemption.  The Relaxed store is published to
@@ -636,7 +613,7 @@ impl SmrGuard for HyalineGuard<'_> {
         if self
             .handle
             .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
+            .is_multiple_of(self.handle.domain.core.config.epoch_freq())
         {
             self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
         }
@@ -645,39 +622,14 @@ impl SmrGuard for HyalineGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once — so the block is
-        // live and its header valid.
-        let hdr = unsafe { header_of(value) };
-        // SAFETY: header valid as above.
-        // ORDERING: Relaxed read — the stamp was written before the pointer
-        // was published, and unlink + retire on this thread ordered us after
-        // any concurrent refresh; the value only feeds the conservative
-        // `min_birth` minimum.
-        let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
-        let handle = &mut *self.handle;
-        let idx = handle.claim.index;
-        let full = {
-            let mut vault = handle.domain.vaults[idx].lock();
-            vault.min_birth = vault.min_birth.min(birth);
-            vault.nodes.push(hdr);
-            vault.nodes.len() >= handle.domain.batch_capacity
-        };
-        handle.domain.unreclaimed.add(idx, 1);
-        if full {
-            let domain = handle.domain.clone();
-            domain.flush_vault(idx, idx, &mut handle.pool);
-        }
+        // SAFETY: forwarded — the caller guarantees the retire contract.
+        unsafe { self.retire_batch(&[ptr]) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never published.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 
     /// Fast path: if nothing was pushed onto our slot list since entry (the
@@ -689,7 +641,7 @@ impl SmrGuard for HyalineGuard<'_> {
     /// module docs — batches are never freed early.)  Otherwise this is a
     /// genuine leave + re-enter, minus the registry owner re-check.
     fn repin(&mut self) {
-        let idx = self.handle.claim.index;
+        let idx = self.handle.core.index();
         let domain = self.handle.domain.clone();
         let slot = &domain.slots[idx];
         let (_, head_ptr) = unpack(slot.head.load(Ordering::Acquire));
@@ -718,7 +670,7 @@ impl SmrGuard for HyalineGuard<'_> {
         // enter `fetch_add` that produced `entry_addr` until the CAS above
         // that released it and returned `observed` — exactly `acknowledge`'s
         // contract.
-        unsafe { domain.acknowledge(observed, self.entry_addr, idx, &mut self.handle.pool) };
+        unsafe { domain.acknowledge(observed, self.entry_addr, idx, &mut self.handle.core.pool) };
         // Re-enter with a fresh era and acknowledgement boundary.
         let era = domain.global_era.load(Ordering::SeqCst);
         slot.era.store(era, Ordering::SeqCst);
@@ -735,9 +687,10 @@ impl SmrGuard for HyalineGuard<'_> {
             return;
         }
         let handle = &mut *self.handle;
-        let idx = handle.claim.index;
+        let d = &*handle.domain;
+        let idx = handle.core.index();
         let full = {
-            let mut vault = handle.domain.vaults[idx].lock();
+            let mut vault = d.vaults[idx].lock();
             vault.nodes.reserve(batch.len());
             for &ptr in batch {
                 let value = ptr.untagged().as_ptr();
@@ -748,21 +701,21 @@ impl SmrGuard for HyalineGuard<'_> {
                 let hdr = unsafe { header_of(value) };
                 // SAFETY: header valid as above.
                 // ORDERING: Relaxed read — the stamp was written before the
-                // pointer was published; it only feeds the conservative
-                // `min_birth` minimum (same argument as single `retire`).
+                // pointer was published, and unlink + retire on this thread
+                // ordered us after any concurrent refresh; the value only
+                // feeds the conservative `min_birth` minimum.
                 let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
                 vault.min_birth = vault.min_birth.min(birth);
                 vault.nodes.push(hdr);
             }
-            vault.nodes.len() >= handle.domain.batch_capacity
+            vault.nodes.len() >= d.batch_capacity
         };
-        handle.domain.unreclaimed.add(idx, batch.len());
+        d.core.unreclaimed.add(idx, batch.len());
         if full {
             // One oversized push is fine: the batch carries *at least* one
             // linkage node per slot, and the vault mutex was touched once for
             // the whole batch instead of once per node.
-            let domain = handle.domain.clone();
-            domain.flush_vault(idx, idx, &mut handle.pool);
+            d.flush_vault(idx, idx, &mut handle.core.pool);
         }
     }
 }
@@ -923,52 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Hyaline::new(config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..10u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        drop(h);
-        assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
-    fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Hyaline::new(config());
-        let dd = d.clone();
-        std::thread::spawn(move || {
-            let mut h = dd.register();
-            {
-                let mut g = h.pin();
-                for i in 0..3u64 {
-                    let p = g.alloc(i);
-                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                    unsafe { g.retire(p) };
-                }
-            }
-            // Die without unwinding the handle; the sub-batch stays in the
-            // vault.
-            std::mem::forget(h);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(d.unreclaimed(), 3);
-        let mut survivor = d.register();
-        survivor.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "a survivor must adopt and flush the dead thread's batch"
-        );
-        assert_eq!(d.registry.poisoned(), 0, "death outside a CS recycles");
-    }
-
-    #[test]
     fn reader_dead_inside_critical_section_poisons_its_slot() {
         let d = Hyaline::new(config());
         let dd = d.clone();
@@ -985,7 +892,7 @@ mod tests {
         let mut survivor = d.register();
         survivor.flush();
         assert_eq!(
-            d.registry.poisoned(),
+            d.core.registry.poisoned(),
             1,
             "death inside a CS must poison the slot, not recycle it"
         );

@@ -15,12 +15,10 @@
 //! Harris-Michael eager unlink) guarantees.
 
 use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore, Limbo};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,75 +35,59 @@ struct IbrSlot {
 
 /// The interval-based reclamation domain.
 pub struct Ibr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: DomainCore,
+    limbo: Limbo,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<IbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`Ibr::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
 }
 
 impl Smr for Ibr {
     type Handle = IbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(IbrSlot {
-                    lower: AtomicU64::new(u64::MAX),
-                    upper: AtomicU64::new(0),
-                })
-            })
-            .collect();
+        let core = DomainCore::new(config);
+        let n = core.config.max_threads;
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            limbo: Limbo::new(n),
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
+            slots: (0..n)
+                .map(|_| {
+                    CachePadded::new(IbrSlot {
+                        lower: AtomicU64::new(u64::MAX),
+                        upper: AtomicU64::new(0),
+                    })
+                })
                 .collect(),
-            orphans: Mutex::new(Vec::new()),
-            config,
+            core,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
+        let core = self.core.try_register()?;
+        let slot = &self.slots[core.index()];
         // ORDERING: Relaxed is enough for both resets — the slot is not yet
         // visible to sweepers (the claim above is what publishes it, and
         // `is_claimed` readers synchronize through the registry), so no other
         // thread can observe these stores out of order.
-        self.slots[claim.index]
-            .lower
+        slot.lower
             // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
             .store(u64::MAX, Ordering::Relaxed);
         // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
-        self.slots[claim.index].upper.store(0, Ordering::Relaxed);
+        slot.upper.store(0, Ordering::Relaxed);
         Ok(IbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            core,
             alloc_count: 0,
             retire_count: 0,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
-        if self.config.snapshot_scan {
+        if self.core.config.snapshot_scan {
             SmrKind::IbrOpt
         } else {
             SmrKind::Ibr
@@ -117,7 +99,7 @@ impl Ibr {
     /// True if some thread's interval overlaps `[birth, retire]`.
     fn is_protected(&self, birth: u64, retire: u64) -> bool {
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             let lower = slot.lower.load(Ordering::SeqCst);
@@ -131,9 +113,9 @@ impl Ibr {
 
     /// Snapshot of all active intervals (IBRopt sweep).
     fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut snap = Vec::with_capacity(self.config.max_threads);
+        let mut snap = Vec::with_capacity(self.core.config.max_threads);
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             let lower = slot.lower.load(Ordering::SeqCst);
@@ -145,108 +127,34 @@ impl Ibr {
         snap
     }
 
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
-        let mut freed = 0usize;
-        if self.config.snapshot_scan {
-            let snap = self.snapshot();
-            limbo.retain(|r| {
-                let birth = r.birth_era();
-                let retire = r.retire_era();
-                let protected = snap.iter().any(|&(lo, hi)| birth <= hi && retire >= lo);
-                if protected {
-                    true
-                } else {
-                    // SAFETY: no active interval overlaps the object's
-                    // lifetime in the snapshot taken after it was retired, so
-                    // no thread can still hold a protected reference; the
-                    // record owns the block and is dropped from the list.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        } else {
-            limbo.retain(|r| {
-                if self.is_protected(r.birth_era(), r.retire_era()) {
-                    true
-                } else {
-                    // SAFETY: as above — the per-record scan found no
-                    // overlapping interval, so the block is unreachable and
-                    // freed exactly once.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                }
-            });
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
-    }
-
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
+    /// A retired node is free when no active interval overlaps its
+    /// `[birth, retire]` lifetime: IBRopt checks one snapshot of the
+    /// intervals taken after the node was retired; IBR rescans every claimed
+    /// slot per record.
+    fn can_free(&self) -> impl FnMut(&Retired) -> bool + '_ {
+        let snap = self.core.config.snapshot_scan.then(|| self.snapshot());
+        move |r| {
+            let (birth, retire) = (r.birth_era(), r.retire_era());
+            match &snap {
+                Some(snap) => !snap.iter().any(|&(lo, hi)| birth <= hi && retire >= lo),
+                None => !self.is_protected(birth, retire),
             }
         }
     }
 
-    /// Adopts slots abandoned by dead threads: collapses the dead thread's
-    /// interval to the empty `[MAX, 0]` (sound — the owner can issue no
-    /// further loads) and drains its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].lower.store(u64::MAX, Ordering::SeqCst);
-                self.slots[i].upper.store(0, Ordering::SeqCst);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
-    }
-}
-
-impl Drop for Ibr {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: `&mut self` proves every handle (and so every
-                // guard) is gone; nothing can still protect the block.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — the domain is being dropped, so no interval
-            // can still cover any retired block.
-            unsafe { r.free() };
-        }
+    /// Collapses a dead or departing slot's interval to the empty `[MAX, 0]`.
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].lower.store(u64::MAX, Ordering::SeqCst);
+        self.slots[slot].upper.store(0, Ordering::SeqCst);
     }
 }
 
 /// Per-thread handle for [`Ibr`].
 pub struct IbrHandle {
     domain: Arc<Ibr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
     alloc_count: usize,
+    /// Retirements since the last cadence bump (always `< epoch_freq`).
     retire_count: usize,
 }
 
@@ -257,10 +165,8 @@ impl SmrHandle for IbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> IbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
+        self.core.check_owner(&self.domain.core);
+        let slot = &self.domain.slots[self.core.index()];
         let era = self.domain.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         slot.lower.store(era, Ordering::SeqCst);
@@ -273,25 +179,33 @@ impl SmrHandle for IbrHandle {
     }
 
     fn flush(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.adopt_orphans(self.claim.index, &mut self.pool);
+        let d = &*self.domain;
+        // SAFETY: `can_free` accepts only nodes whose lifetime no active
+        // interval overlaps, so the block is unreachable and, dropped from
+        // its list by the sweep, freed exactly once.
+        unsafe {
+            d.limbo.collect(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
 impl Drop for IbrHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.sweep_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            let slot = &domain.slots[self.claim.index];
-            slot.lower.store(u64::MAX, Ordering::Release);
-            slot.upper.store(0, Ordering::Release);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        let d = &*self.domain;
+        // SAFETY: as in `flush` — the interval-overlap predicate.
+        unsafe {
+            d.limbo.release(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
@@ -317,7 +231,7 @@ impl Drop for IbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the interval on drop is what makes a panicking
         // operation release its protection (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         slot.lower.store(u64::MAX, Ordering::Release);
         slot.upper.store(0, Ordering::Release);
     }
@@ -331,7 +245,7 @@ impl SmrGuard for IbrGuard<'_> {
 
     #[inline]
     fn protect<T>(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         let global = &self.handle.domain.global_era;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -349,7 +263,7 @@ impl SmrGuard for IbrGuard<'_> {
 
     #[inline]
     fn announce<T>(&mut self, _idx: usize, _ptr: Shared<T>) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         let era = self.handle.domain.global_era.load(Ordering::SeqCst);
         slot.upper.store(era, Ordering::SeqCst);
         self.cached_upper = era;
@@ -362,7 +276,7 @@ impl SmrGuard for IbrGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
+        let ptr = self.handle.core.alloc(value);
         // ORDERING: a Relaxed read of the era can only be *older* than the
         // real current era, which makes the birth stamp conservatively early
         // — strictly more protective for the interval-overlap test.  The
@@ -377,7 +291,7 @@ impl SmrGuard for IbrGuard<'_> {
         if self
             .handle
             .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
+            .is_multiple_of(self.handle.domain.core.config.epoch_freq())
         {
             self.handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
         }
@@ -386,48 +300,14 @@ impl SmrGuard for IbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // ORDERING: a Relaxed era read here can only lag the true era, which
-        // stamps the retirement conservatively *early* — never unsafe, at
-        // worst it delays reclamation by one interval check.  The stamp is
-        // published to sweepers by the vault mutex acquired just below.
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        // SAFETY: the record was just built from a live block; its header is
-        // valid until the record is freed.
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one scan; safety is unaffected.
-        unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-        }
+        // SAFETY: forwarded — the caller guarantees the retire contract.
+        unsafe { self.retire_batch(&[ptr]) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never published.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 
     /// Collapses the interval back to the point `[era, era]`, releasing every
@@ -441,7 +321,7 @@ impl SmrGuard for IbrGuard<'_> {
         if era == self.cached_upper && era == self.cached_lower {
             return;
         }
-        let slot = &domain.slots[self.handle.claim.index];
+        let slot = &domain.slots[self.handle.core.index()];
         // Same publication order as `pin`: extend `upper` first so the
         // interval never transiently excludes an era we might still observe,
         // then raise `lower` to drop the old coverage.
@@ -458,42 +338,26 @@ impl SmrGuard for IbrGuard<'_> {
             return;
         }
         let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // scan; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire era cadence across the batch: bump the era
-        // once per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
+        let d = &*handle.domain;
+        // ORDERING: a Relaxed era read here can only lag the true era, which
+        // stamps the retirement conservatively *early* — never unsafe, at
+        // worst it delays reclamation by one interval check.  The stamp is
+        // published to sweepers by the vault mutex.
+        let era = d.global_era.load(Ordering::Relaxed);
+        // SAFETY: forwarded — the caller guarantees the retire contract for
+        // every element of the batch.
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, Some(era)) };
+        // Era cadence: one bump per `epoch_freq` retirements, however they
+        // were batched (no division on the common no-bump path).
+        let freq = d.core.config.epoch_freq();
         handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle.domain.global_era.fetch_add(bumps, Ordering::SeqCst);
+        if handle.retire_count >= freq {
+            d.global_era
+                .fetch_add((handle.retire_count / freq) as u64, Ordering::SeqCst);
+            handle.retire_count %= freq;
         }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.sweep_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
+        if pending >= d.core.config.scan_threshold {
+            handle.flush();
         }
     }
 }
@@ -581,37 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Ibr::new(config(true));
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                let cell = Atomic::new(p);
-                g.protect(0, &cell);
-                // SAFETY: `p` is test-local; the published interval keeps this retire from freeing it.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the interval stays active and the slot
-                // stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        h.flush();
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must collapse the dead thread's interval and drain its vault"
-        );
-    }
-
-    #[test]
     fn guard_drop_deactivates_interval() {
         let d = Ibr::new(config(false));
         let mut h = d.register();
@@ -672,23 +505,6 @@ mod tests {
             d.unreclaimed()
         );
         drop(g);
-    }
-
-    #[test]
-    fn retire_batch_reclaims_like_per_node_retire() {
-        for snapshot in [false, true] {
-            let d = Ibr::new(config(snapshot));
-            let mut h = d.register();
-            {
-                let mut g = h.pin();
-                let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-                // SAFETY: each block was just allocated and never published,
-                // so this thread is its sole owner and retires it exactly once.
-                unsafe { g.retire_batch(&batch) };
-            }
-            h.flush();
-            assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot}");
-        }
     }
 
     #[test]

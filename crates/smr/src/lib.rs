@@ -25,11 +25,17 @@
 //!   [`SmrGuard::needs_restart`] / [`SmrGuard::checkpoint`] and routed into
 //!   the traversal cursor's restart ladder by the `scot` crate.
 //! * [`Vbr`] — version-based reclamation in the spirit of Cohen's VBR:
-//!   retired blocks are recycled *eagerly* through the block pool (FIFO, in
-//!   retire-era order, O(1) per alloc instead of limbo scans), with a
+//!   retired blocks are recycled *eagerly* through the block pool (in
+//!   retire-era order, one minimum-epoch scan per sweep), with a
 //!   per-incarnation version stamp in every [`Header`] and allocation-driven
 //!   epoch advancement that displaces long-running readers through the same
 //!   checkpoint protocol.
+//!
+//! The schemes share one crate-private record core, the `record` module:
+//! slot claim and the pin-time owner check, the block pool, the retire vaults
+//! with orphan adoption, and handle and domain teardown are written once
+//! there, and each scheme file keeps only its reclamation policy (how it
+//! publishes a reservation and when a retired block is free).
 //!
 //! All schemes expose the same narrow interface — [`Smr`] / [`SmrHandle`] /
 //! [`SmrGuard`] — modeled directly on the paper's Figure 1 (`protect`, `dup`)
@@ -62,6 +68,7 @@ mod hyaline;
 mod ibr;
 mod nbr;
 mod nr;
+mod record;
 mod vbr;
 
 pub use block::{

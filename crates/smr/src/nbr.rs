@@ -22,13 +22,11 @@
 //! blocks reclamation exactly like a stalled EBR reader — which is why
 //! [`SmrKind::is_robust`] reports `false` for NBR.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
+use crate::block::Retired;
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore, Limbo};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,16 +46,10 @@ struct NbrSlot {
 
 /// The neutralization-based reclamation domain.
 pub struct Nbr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: DomainCore,
+    limbo: Limbo,
     global_era: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<NbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot retire lists, domain-owned so a dead thread's list is
-    /// adoptable (see [`Nbr::adopt_orphans`]).
-    vaults: Box<[Mutex<Vec<Retired>>]>,
-    orphans: Mutex<Vec<Retired>>,
     /// Total neutralize flags raised by blocked sweeps (monotonic; a
     /// diagnostic mirror of how often reclamation had to push readers).
     neutralizations: AtomicU64,
@@ -67,55 +59,44 @@ impl Smr for Nbr {
     type Handle = NbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(NbrSlot {
-                    checkpoint: AtomicU64::new(INACTIVE),
-                    neutralize: AtomicBool::new(false),
-                })
-            })
-            .collect();
+        let core = DomainCore::new(config);
+        let n = core.config.max_threads;
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            limbo: Limbo::new(n),
             global_era: CachePadded::new(AtomicU64::new(FIRST_ERA)),
-            slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(Vec::new()))
+            slots: (0..n)
+                .map(|_| {
+                    CachePadded::new(NbrSlot {
+                        checkpoint: AtomicU64::new(INACTIVE),
+                        neutralize: AtomicBool::new(false),
+                    })
+                })
                 .collect(),
-            orphans: Mutex::new(Vec::new()),
             neutralizations: AtomicU64::new(0),
-            config,
+            core,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<NbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
+        let core = self.core.try_register()?;
+        let slot = &self.slots[core.index()];
         // ORDERING: Relaxed is enough for both resets — the slot is not yet
         // visible to sweepers (the claim above publishes it, and `is_claimed`
         // readers synchronize through the registry).
-        self.slots[claim.index]
-            .checkpoint
+        slot.checkpoint
             // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
             .store(INACTIVE, Ordering::Relaxed);
-        self.slots[claim.index]
-            .neutralize
+        slot.neutralize
             // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
             .store(false, Ordering::Relaxed);
         Ok(NbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            core,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -129,7 +110,7 @@ impl Nbr {
     fn min_checkpoint(&self) -> u64 {
         let mut min = u64::MAX;
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             let c = slot.checkpoint.load(Ordering::SeqCst);
@@ -140,31 +121,27 @@ impl Nbr {
         min
     }
 
-    /// Frees every limbo entry retired at least two eras before the minimum
-    /// active checkpoint.  A reader checkpointed at era `C` can only reach
-    /// nodes retired at `C - 1` or later (anything older was unlinked before
-    /// the reader announced `C`), so `retire + 2 <= C` leaves one era of
-    /// slack — the same grace argument as EBR, with the quiescence check
+    /// A block is free once it was retired at least two eras before the
+    /// minimum active checkpoint.  A reader checkpointed at era `C` can only
+    /// reach nodes retired at `C - 1` or later (anything older was unlinked
+    /// before the reader announced `C`), so `retire + 2 <= C` leaves one era
+    /// of slack — the same grace argument as EBR, with the quiescence check
     /// moved from the epoch-advance path to the sweep itself.
-    fn sweep(&self, limbo: &mut Vec<Retired>, slot: usize, pool: &mut BlockPool) {
+    fn can_free(&self) -> impl FnMut(&Retired) -> bool {
         let min = self.min_checkpoint();
-        let mut freed = 0usize;
-        limbo.retain(|r| {
-            if r.retire_era().saturating_add(2) <= min {
-                // SAFETY: every active checkpoint is at least two eras past
-                // this entry's retirement, so no thread can still reach the
-                // block (the grace argument above); the record owns the block
-                // and is dropped from the list.
-                unsafe { r.free_into(pool) };
-                freed += 1;
-                false
-            } else {
-                true
-            }
-        });
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
+        move |r| r.retire_era().saturating_add(2) <= min
+    }
+
+    /// Clears a dead or departing slot's checkpoint (its protection
+    /// requirement has lapsed) plus its pending neutralize flag.
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot]
+            .checkpoint
+            .store(INACTIVE, Ordering::SeqCst);
+        // ORDERING: Relaxed — the flag is advisory (a progress hint, never a
+        // safety signal) and the departed owner will never poll it again;
+        // the registry's slot handoff publishes it to the next claimant.
+        self.slots[slot].neutralize.store(false, Ordering::Relaxed);
     }
 
     /// The neutralization step: bumps the global era and raises the
@@ -175,7 +152,7 @@ impl Nbr {
         let era = self.global_era.fetch_add(1, Ordering::SeqCst) + 1;
         let mut raised = 0u64;
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             let c = slot.checkpoint.load(Ordering::SeqCst);
@@ -190,48 +167,6 @@ impl Nbr {
         }
     }
 
-    fn sweep_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.sweep(&mut vault, counter_slot, pool);
-        }
-    }
-
-    /// Adopts and sweeps orphaned limbo entries left by deregistered threads.
-    fn sweep_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if !orphans.is_empty() {
-                self.sweep(&mut orphans, slot, pool);
-            }
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's
-    /// checkpoint (sound — the owner can issue no further loads, so its
-    /// protection requirement has lapsed) plus its pending neutralize flag,
-    /// and drains its retire vault into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].checkpoint.store(INACTIVE, Ordering::SeqCst);
-                // ORDERING: Relaxed — the flag is advisory (a progress hint,
-                // never a safety signal) and the dead owner will never poll
-                // it again; the adoption fence publishes it to any claimant.
-                self.slots[i].neutralize.store(false, Ordering::Relaxed);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().append(&mut vault);
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.sweep_orphans(my_slot, pool);
-    }
-
     /// Total neutralize flags raised so far (diagnostic).
     pub fn neutralizations(&self) -> u64 {
         // ORDERING: Relaxed — statistics read, see `neutralize_laggards`.
@@ -239,32 +174,10 @@ impl Nbr {
     }
 }
 
-impl Drop for Nbr {
-    fn drop(&mut self) {
-        // No handles remain (they hold `Arc<Nbr>`), so nothing can be
-        // protected any more: release whatever is still in the vaults and
-        // the orphan list.
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: `&mut self` proves every handle (and so every
-                // guard) is gone; no checkpoint can still protect the block.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: as above — the domain is being dropped.
-            unsafe { r.free() };
-        }
-    }
-}
-
 /// Per-thread handle for [`Nbr`].
 pub struct NbrHandle {
     domain: Arc<Nbr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
 }
 
 impl NbrHandle {
@@ -272,7 +185,7 @@ impl NbrHandle {
     /// confirming it is still current, and clears a pending neutralize flag —
     /// the shared body of `pin` and `checkpoint`.
     fn announce_checkpoint(&mut self) {
-        let slot = &self.domain.slots[self.claim.index];
+        let slot = &self.domain.slots[self.core.index()];
         // ORDERING: Relaxed — the flag is a progress hint, not a safety
         // signal; clearing it late at worst triggers one redundant restart.
         slot.neutralize.store(false, Ordering::Relaxed);
@@ -285,17 +198,28 @@ impl NbrHandle {
         }
     }
 
-    fn scan(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.sweep_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if domain.vaults[idx].lock().len() >= domain.config.scan_threshold {
-            // Readers are what blocks us: neutralize them and retry once —
-            // flags raised now typically pay off at the *next* scan, but a
-            // quiescent domain drains immediately.
-            domain.neutralize_laggards();
-            domain.sweep_vault(idx, idx, &mut self.pool);
+    /// Sweeps and adopts; then, if at least `backlog` entries are still
+    /// pending in this handle's vault, readers are what blocks us: neutralize
+    /// them and retry once — flags raised now typically pay off at the
+    /// *next* scan, but a quiescent domain drains immediately.
+    fn scan(&mut self, backlog: usize) {
+        let d = &*self.domain;
+        let idx = self.core.index();
+        // SAFETY: `can_free` accepts only entries retired two eras before
+        // every active checkpoint, which no thread can still reach (the grace
+        // argument on `Nbr::can_free`).
+        unsafe {
+            d.limbo.collect(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
+        if d.limbo.pending(idx) >= backlog {
+            d.neutralize_laggards();
+            // SAFETY: as above.
+            unsafe { d.limbo.sweep(&d.core, &mut self.core, || d.can_free()) };
         }
     }
 }
@@ -307,9 +231,7 @@ impl SmrHandle for NbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> NbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
+        self.core.check_owner(&self.domain.core);
         self.announce_checkpoint();
         NbrGuard {
             handle: self,
@@ -318,34 +240,25 @@ impl SmrHandle for NbrHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
         self.domain.global_era.fetch_add(1, Ordering::SeqCst);
-        let domain = self.domain.clone();
-        domain.sweep_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if !domain.vaults[idx].lock().is_empty() {
-            // A forced flush is the impatient path: neutralize whoever blocks
-            // even a single entry, then retry.
-            domain.neutralize_laggards();
-            domain.sweep_vault(idx, idx, &mut self.pool);
-        }
+        // A forced flush is the impatient path: neutralize whoever blocks
+        // even a single entry.
+        self.scan(1);
     }
 }
 
 impl Drop for NbrHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.registry.release_with(self.claim, || {
-            let slot = &domain.slots[self.claim.index];
-            slot.checkpoint.store(INACTIVE, Ordering::SeqCst);
-            // ORDERING: Relaxed — advisory flag; the release_with callback is
-            // published to the next claimant by the registry itself.
-            slot.neutralize.store(false, Ordering::Relaxed);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().append(&mut vault);
-            }
-        });
+        let d = &*self.domain;
+        // SAFETY: as in `scan` — the checkpoint grace predicate.
+        unsafe {
+            d.limbo.release(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
@@ -365,7 +278,7 @@ impl Drop for NbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the checkpoint on drop also covers panicking
         // operations (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         slot.checkpoint.store(INACTIVE, Ordering::Release);
     }
 }
@@ -394,54 +307,24 @@ impl SmrGuard for NbrGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        Shared::from_ptr(self.handle.core.alloc(value))
     }
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain, is unlinked, and is retired exactly once.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // SAFETY: the record was just built from a live block; its header is
-        // valid until the record is freed.
-        // ORDERING: a Relaxed era read can only lag the true era, stamping
-        // the retirement conservatively early — at worst it delays
-        // reclamation by one sweep; the stamp is published to sweepers by
-        // the vault mutex acquired just below.
-        unsafe {
-            (*retired.hdr).retire_era.store(
-                // ORDERING: see the comment above this unsafe block.
-                handle.domain.global_era.load(Ordering::Relaxed),
-                // ORDERING: see the comment above this unsafe block.
-                Ordering::Relaxed,
-            );
-        }
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push(retired);
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, 1);
-        if pending >= handle.domain.config.scan_threshold {
-            handle.scan();
-        }
+        // SAFETY: forwarded — the caller guarantees the retire contract.
+        unsafe { self.retire_batch(&[ptr]) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never published.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 
     #[inline]
     fn needs_restart(&self) -> bool {
-        self.handle.domain.slots[self.handle.claim.index]
+        self.handle.domain.slots[self.handle.core.index()]
             .neutralize
             .load(Ordering::Acquire)
     }
@@ -457,7 +340,7 @@ impl SmrGuard for NbrGuard<'_> {
     /// restart — then the announcement is already as fresh as it can get.
     #[inline]
     fn repin(&mut self) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         let era = self.handle.domain.global_era.load(Ordering::SeqCst);
         // ORDERING: Relaxed — our own checkpoint is single-writer (only this
         // thread stores real eras into it), so the read needs no ordering.
@@ -474,31 +357,18 @@ impl SmrGuard for NbrGuard<'_> {
             return;
         }
         let handle = &mut *self.handle;
-        // ORDERING: a lagging retire-era stamp only delays reclamation by one
-        // sweep; safety is unaffected (same argument as single `retire`).
-        let era = handle.domain.global_era.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to sweepers by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                vault.push(retired);
-            }
-            vault.len()
-        };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        if pending >= handle.domain.config.scan_threshold {
-            handle.scan();
+        let d = &*handle.domain;
+        // ORDERING: a Relaxed era read can only lag the true era, stamping
+        // the retirement conservatively early — at worst it delays
+        // reclamation by one sweep; the stamp is published to sweepers by
+        // the vault mutex.
+        let era = d.global_era.load(Ordering::Relaxed);
+        // SAFETY: forwarded — the caller guarantees the retire contract for
+        // every element of the batch.
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, Some(era)) };
+        let threshold = d.core.config.scan_threshold;
+        if pending >= threshold {
+            handle.scan(threshold);
         }
     }
 }
@@ -679,23 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Nbr::new(small_config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
     fn multi_threaded_retire_storm_reclaims_everything() {
         let d = Nbr::new(SmrConfig {
             max_threads: 8,
@@ -728,50 +581,5 @@ mod tests {
         }
         drop(h);
         assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
-    fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Nbr::new(small_config());
-        {
-            let d = d.clone();
-            std::thread::spawn(move || {
-                let mut h = d.register();
-                let mut g = h.pin();
-                let p = g.alloc(1u64);
-                // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                unsafe { g.retire(p) };
-                // Leak guard + handle: the checkpoint stays published and the
-                // slot stays claimed past thread death.
-                std::mem::forget(g);
-                std::mem::forget(h);
-            })
-            .join()
-            .unwrap();
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        let mut h = d.register();
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "adoption must clear the dead thread's checkpoint and drain its vault"
-        );
-    }
-
-    #[test]
-    fn orphans_are_freed_on_domain_drop() {
-        let d = Nbr::new(small_config());
-        {
-            let mut h = d.register();
-            let mut g = h.pin();
-            let p = g.alloc(1u64);
-            // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-            unsafe { g.retire(p) };
-        }
-        assert_eq!(d.unreclaimed(), 1);
-        drop(d);
     }
 }

@@ -11,49 +11,35 @@
 //! the retire-path counter is sharded like every other scheme's so NR's
 //! "upper bound" role is not distorted by counter cache-line ping-pong.
 
-use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The no-reclamation "scheme".
 pub struct Nr {
-    registry: SlotRegistry,
-    retired: ShardedCounter,
-    pool: Arc<PoolShared>,
-    pool_capacity: usize,
+    core: DomainCore,
 }
 
 impl Smr for Nr {
     type Handle = NrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
-            retired: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            pool_capacity: config.pool_blocks(),
+            core: DomainCore::new(config),
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<NrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
         Ok(NrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.pool_capacity),
+            core: self.core.try_register()?,
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.retired.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -64,14 +50,12 @@ impl Smr for Nr {
 /// Per-thread handle for [`Nr`].
 pub struct NrHandle {
     domain: Arc<Nr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
 }
 
 impl Drop for NrHandle {
     fn drop(&mut self) {
-        self.domain.registry.release(self.claim);
+        self.domain.core.registry.release(self.core.claim);
     }
 }
 
@@ -82,9 +66,7 @@ impl SmrHandle for NrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> NrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
+        self.core.check_owner(&self.domain.core);
         NrGuard {
             handle: self,
             _thread_bound: std::marker::PhantomData,
@@ -96,14 +78,9 @@ impl SmrHandle for NrHandle {
         // the registry from filling up under thread churn: the leaked
         // handle's slot (there is no other per-slot state) returns to the
         // free pool.
-        for i in 0..self.domain.registry.capacity() {
-            if i == self.claim.index {
-                continue;
-            }
-            if let Some(adoption) = self.domain.registry.try_begin_adopt(i) {
-                adoption.finish();
-            }
-        }
+        self.domain
+            .core
+            .adopt_dead(self.core.index(), |_, adoption| adoption.finish());
     }
 }
 
@@ -140,7 +117,7 @@ impl SmrGuard for NrGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        Shared::from_ptr(self.handle.pool.alloc(value))
+        Shared::from_ptr(self.handle.core.alloc(value))
     }
 
     // SAFETY: NR never frees, so any unlinked pointer is trivially safe to retire.
@@ -148,19 +125,14 @@ impl SmrGuard for NrGuard<'_> {
         // Leak: only account for it so memory-overhead experiments can report
         // the (ever-growing) number of unreclaimed objects.
         debug_assert!(!ptr.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain; the record is built only to mirror the other schemes'
-        // retire paths and is immediately discarded (NR leaks).
-        let _ = unsafe { Retired::from_value(ptr.untagged().as_ptr()) };
-        self.handle.domain.retired.add(self.handle.claim.index, 1);
+        let slot = self.handle.core.index();
+        self.handle.domain.core.unreclaimed.add(slot, 1);
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // no other thread has observed the block; pool-freeing it runs the
-        // destructor exactly once.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never published.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 }
 

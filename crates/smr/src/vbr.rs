@@ -5,15 +5,16 @@
 //! per-thread FIFO recycle queue and are handed back to the allocator in
 //! retire-order, while readers that may still hold references detect the
 //! reuse *after the fact* by re-checking a per-block version stamp.  This
-//! module keeps that shape — O(1) retire, FIFO recycling in epoch order
-//! through the [`BlockPool`]'s layout bins, a monotonic per-incarnation
+//! module keeps that shape — O(1) retire, recycling in retire order through
+//! the [`crate::BlockPool`]'s layout bins, a monotonic per-incarnation
 //! version stamp in every block header, allocation-driven epoch advancement —
 //! but gates the actual memory handoff on a two-epoch displacement bound
 //! instead of unconditional reuse:
 //!
 //! * every operation announces the global epoch at [`SmrHandle::pin`];
 //! * a recycle-queue entry is released to the pool once its retire epoch is
-//!   two behind the minimum announced epoch;
+//!   two behind the minimum announced epoch (the queues are the shared
+//!   [`crate::record::Limbo`] vaults, swept like every other vault scheme's);
 //! * a reader whose announced epoch falls two behind the advancing global
 //!   epoch is asked to restart through [`SmrGuard::needs_restart`] /
 //!   [`SmrGuard::checkpoint`] (the same cursor-routed protocol as NBR), which
@@ -32,13 +33,10 @@
 //! [`SmrKind::is_robust`] reports `false`.
 
 use crate::block::{header_of, Retired};
-use crate::pool::{BlockPool, PoolShared, ShardedCounter};
 use crate::ptr::{Atomic, Shared};
-use crate::registry::{PinBinding, SlotClaim, SlotRegistry};
+use crate::record::{DomainCore, HandleCore, Limbo};
 use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind};
 use crossbeam_utils::CachePadded;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,18 +60,11 @@ struct VbrSlot {
 
 /// The version-based reclamation domain.
 pub struct Vbr {
-    config: SmrConfig,
-    registry: SlotRegistry,
+    core: DomainCore,
+    /// Per-slot recycle queues (vaults), in retire-epoch order.
+    limbo: Limbo,
     global_epoch: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<VbrSlot>]>,
-    unreclaimed: ShardedCounter,
-    pool: Arc<PoolShared>,
-    /// Per-slot FIFO recycle queues, domain-owned so a dead thread's queue is
-    /// adoptable (see [`Vbr::adopt_orphans`]).
-    vaults: Box<[Mutex<VecDeque<Retired>>]>,
-    /// Recycle entries inherited from threads that deregistered before their
-    /// entries became eligible.
-    orphans: Mutex<Vec<Retired>>,
     /// Total reader displacements acknowledged via `checkpoint` (diagnostic).
     displacements: AtomicU64,
 }
@@ -82,49 +73,39 @@ impl Smr for Vbr {
     type Handle = VbrHandle;
 
     fn new(config: SmrConfig) -> Arc<Self> {
-        let config = config.validated();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(VbrSlot {
-                    epoch: AtomicU64::new(INACTIVE),
-                })
-            })
-            .collect();
+        let core = DomainCore::new(config);
+        let n = core.config.max_threads;
         Arc::new(Self {
-            registry: SlotRegistry::new(config.max_threads),
+            limbo: Limbo::new(n),
             global_epoch: CachePadded::new(AtomicU64::new(FIRST_EPOCH)),
-            slots,
-            unreclaimed: ShardedCounter::new(config.max_threads),
-            pool: PoolShared::new(config.pool_blocks(), config.max_threads),
-            vaults: (0..config.max_threads)
-                .map(|_| Mutex::new(VecDeque::new()))
+            slots: (0..n)
+                .map(|_| {
+                    CachePadded::new(VbrSlot {
+                        epoch: AtomicU64::new(INACTIVE),
+                    })
+                })
                 .collect(),
-            orphans: Mutex::new(Vec::new()),
             displacements: AtomicU64::new(0),
-            config,
+            core,
         })
     }
 
     fn try_register(self: &Arc<Self>) -> Result<VbrHandle, SmrError> {
-        let claim = self.registry.try_claim().ok_or(SmrError::RegistryFull {
-            capacity: self.registry.capacity(),
-        })?;
-        self.slots[claim.index]
+        let core = self.core.try_register()?;
+        self.slots[core.index()]
             .epoch
             // ORDERING: the slot is newly claimed and not yet observed by reclamation scans; this reset is owner-only.
             .store(INACTIVE, Ordering::Relaxed);
         Ok(VbrHandle {
-            pool: BlockPool::new(self.pool.clone(), self.config.pool_blocks()),
             domain: self.clone(),
-            claim,
-            binding: PinBinding::new(),
+            core,
             alloc_count: 0,
             retire_count: 0,
         })
     }
 
     fn unreclaimed(&self) -> usize {
-        self.unreclaimed.sum()
+        self.core.unreclaimed()
     }
 
     fn kind(&self) -> SmrKind {
@@ -138,7 +119,7 @@ impl Vbr {
     fn min_active_epoch(&self) -> u64 {
         let mut min = u64::MAX;
         for (i, slot) in self.slots.iter().enumerate() {
-            if !self.registry.is_claimed(i) {
+            if !self.core.registry.is_claimed(i) {
                 continue;
             }
             let e = slot.epoch.load(Ordering::SeqCst);
@@ -149,86 +130,18 @@ impl Vbr {
         min
     }
 
-    /// Releases eligible entries from the front of `recycle` into the pool.
-    ///
-    /// The queue is FIFO and retire epochs are stamped from a monotonic
-    /// counter, so eligibility is a prefix: the drain stops at the first
-    /// entry retired later than two epochs before the minimum announced
-    /// epoch.  One `min_active_epoch` scan amortizes over the whole prefix —
-    /// there is no per-entry rescan, which is the structural difference from
-    /// the limbo-list schemes.
-    fn drain(&self, recycle: &mut VecDeque<Retired>, slot: usize, pool: &mut BlockPool) {
+    /// A recycle entry is released to the pool once its retire epoch is two
+    /// behind the minimum announced epoch: two full epochs have passed since
+    /// retirement, so no reader can still be validating this incarnation.
+    /// One `min_active_epoch` scan serves the whole sweep.
+    fn can_free(&self) -> impl FnMut(&Retired) -> bool {
         let min = self.min_active_epoch();
-        let mut freed = 0usize;
-        while let Some(front) = recycle.front() {
-            if front.retire_era().saturating_add(2) <= min {
-                let r = recycle.pop_front().expect("front was just observed");
-                // SAFETY: two full epochs have passed since retirement, so no reader can still be validating this incarnation.
-                unsafe { r.free_into(pool) };
-                freed += 1;
-            } else {
-                break;
-            }
-        }
-        if freed > 0 {
-            self.unreclaimed.sub(slot, freed);
-        }
+        move |r| r.retire_era().saturating_add(2) <= min
     }
 
-    /// Drains the recycle queue of slot `vault_idx`, charging frees to the
-    /// drainer's counter shard.
-    fn drain_vault(&self, vault_idx: usize, counter_slot: usize, pool: &mut BlockPool) {
-        let mut vault = self.vaults[vault_idx].lock();
-        if !vault.is_empty() {
-            self.drain(&mut vault, counter_slot, pool);
-        }
-    }
-
-    /// Adopts slots abandoned by dead threads: clears the dead thread's
-    /// epoch announcement (sound — the owner can issue no further loads) and
-    /// moves its recycle queue into the orphan list.
-    fn adopt_orphans(&self, my_slot: usize, pool: &mut BlockPool) {
-        for i in 0..self.registry.capacity() {
-            if i == my_slot {
-                continue;
-            }
-            if let Some(adoption) = self.registry.try_begin_adopt(i) {
-                self.slots[i].epoch.store(INACTIVE, Ordering::SeqCst);
-                let mut vault = self.vaults[i].lock();
-                if !vault.is_empty() {
-                    self.orphans.lock().extend(vault.drain(..));
-                }
-                drop(vault);
-                adoption.finish();
-            }
-        }
-        self.drain_orphans(my_slot, pool);
-    }
-
-    /// Adopts and drains orphaned recycle entries left by deregistered
-    /// threads.  Orphans lose their FIFO ordering guarantee (several queues
-    /// may have been appended), so this path re-checks every entry.
-    fn drain_orphans(&self, slot: usize, pool: &mut BlockPool) {
-        if let Some(mut orphans) = self.orphans.try_lock() {
-            if orphans.is_empty() {
-                return;
-            }
-            let min = self.min_active_epoch();
-            let mut freed = 0usize;
-            orphans.retain(|r| {
-                if r.retire_era().saturating_add(2) <= min {
-                    // SAFETY: two full epochs have passed since the orphan was retired; no reader can still address it.
-                    unsafe { r.free_into(pool) };
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            if freed > 0 {
-                self.unreclaimed.sub(slot, freed);
-            }
-        }
+    /// Clears a dead or departing slot's epoch announcement.
+    fn neutralize(&self, slot: usize) {
+        self.slots[slot].epoch.store(INACTIVE, Ordering::SeqCst);
     }
 
     /// Total reader displacements acknowledged so far (diagnostic).
@@ -237,30 +150,32 @@ impl Vbr {
     }
 }
 
-impl Drop for Vbr {
-    fn drop(&mut self) {
-        for vault in self.vaults.iter() {
-            for r in vault.lock().drain(..) {
-                // SAFETY: the domain is being dropped, so no handle can still reference the block.
-                unsafe { r.free() };
-            }
-        }
-        let mut orphans = self.orphans.lock();
-        for r in orphans.drain(..) {
-            // SAFETY: the domain is being dropped, so no handle can still reference the block.
-            unsafe { r.free() };
-        }
-    }
-}
-
 /// Per-thread handle for [`Vbr`].
 pub struct VbrHandle {
     domain: Arc<Vbr>,
-    claim: SlotClaim,
-    binding: PinBinding,
-    pool: BlockPool,
+    core: HandleCore,
     alloc_count: usize,
+    /// Retirements since the last cadence bump (always `< epoch_freq`).
     retire_count: usize,
+}
+
+impl VbrHandle {
+    /// Sweeps and adopts, then returns how many entries this handle's queue
+    /// still holds.
+    fn scan(&mut self) -> usize {
+        let d = &*self.domain;
+        // SAFETY: `can_free` accepts only entries two epochs behind every
+        // announced epoch, which no reader can still reach.
+        unsafe {
+            d.limbo.collect(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
+        d.limbo.pending(self.core.index())
+    }
 }
 
 impl SmrHandle for VbrHandle {
@@ -270,10 +185,8 @@ impl SmrHandle for VbrHandle {
         Self: 'g;
 
     fn pin(&mut self) -> VbrGuard<'_> {
-        self.domain
-            .registry
-            .check_owner_and_bind(self.claim, &mut self.binding);
-        let slot = &self.domain.slots[self.claim.index];
+        self.core.check_owner(&self.domain.core);
+        let slot = &self.domain.slots[self.core.index()];
         let op_epoch = loop {
             let e = self.domain.global_epoch.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
@@ -289,32 +202,29 @@ impl SmrHandle for VbrHandle {
     }
 
     fn flush(&mut self) {
-        let idx = self.claim.index;
-        let domain = self.domain.clone();
-        domain.drain_vault(idx, idx, &mut self.pool);
-        domain.adopt_orphans(idx, &mut self.pool);
-        if !domain.vaults[idx].lock().is_empty() {
+        if self.scan() > 0 {
             // Entries retired at the current epoch need the epoch to move two
             // ticks before any quiescent observer may release them.
-            domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            domain.drain_vault(idx, idx, &mut self.pool);
+            let d = &*self.domain;
+            d.global_epoch.fetch_add(1, Ordering::SeqCst);
+            // SAFETY: as in `scan` — the two-epoch predicate.
+            unsafe { d.limbo.sweep(&d.core, &mut self.core, || d.can_free()) };
         }
     }
 }
 
 impl Drop for VbrHandle {
     fn drop(&mut self) {
-        let domain = self.domain.clone();
-        domain.drain_vault(self.claim.index, self.claim.index, &mut self.pool);
-        domain.registry.release_with(self.claim, || {
-            domain.slots[self.claim.index]
-                .epoch
-                .store(INACTIVE, Ordering::SeqCst);
-            let mut vault = domain.vaults[self.claim.index].lock();
-            if !vault.is_empty() {
-                domain.orphans.lock().extend(vault.drain(..));
-            }
-        });
+        let d = &*self.domain;
+        // SAFETY: as in `scan` — the two-epoch predicate.
+        unsafe {
+            d.limbo.release(
+                &d.core,
+                &mut self.core,
+                |i| d.neutralize(i),
+                || d.can_free(),
+            )
+        };
     }
 }
 
@@ -336,7 +246,7 @@ impl Drop for VbrGuard<'_> {
     fn drop(&mut self) {
         // Deactivating the epoch announcement on drop also covers panicking
         // operations (RAII unwind safety).
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         slot.epoch.store(INACTIVE, Ordering::Release);
     }
 }
@@ -364,7 +274,7 @@ impl SmrGuard for VbrGuard<'_> {
     fn clear(&mut self, _idx: usize) {}
 
     fn alloc<T: Send + 'static>(&mut self, value: T) -> Shared<T> {
-        let ptr = self.handle.pool.alloc(value);
+        let ptr = self.handle.core.alloc(value);
         // ORDERING: an approximate epoch read is fine here -- VBR safety rests on version-stamp validation, not on epoch precision.
         let epoch = self.handle.domain.global_epoch.load(Ordering::Relaxed);
         // SAFETY: `ptr` was just handed out by the pool, so the header is initialized and unaliased.
@@ -374,7 +284,7 @@ impl SmrGuard for VbrGuard<'_> {
         if self
             .handle
             .alloc_count
-            .is_multiple_of(self.handle.domain.config.epoch_freq())
+            .is_multiple_of(self.handle.domain.core.config.epoch_freq())
         {
             // Allocation-driven epoch advancement: reuse pressure, not limbo
             // growth, is what moves the clock under VBR.
@@ -388,55 +298,16 @@ impl SmrGuard for VbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        let value = ptr.untagged().as_ptr();
-        debug_assert!(!value.is_null());
-        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
-        // domain and is already unlinked, so its block header is live.
-        let retired = unsafe { Retired::from_value(value) };
-        let handle = &mut *self.handle;
-        // ORDERING: a stale epoch read only delays reclamation; safety comes from the two-era grace-period check.
-        let epoch = handle.domain.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: the block is unlinked but not yet in any vault; this
-        // thread has exclusive access to its header stamp.
-        // ORDERING: Relaxed on both — the stamp only has to be no older than
-        // the epoch this thread announced at its last checkpoint (published
-        // with SeqCst there), and it is handed to the recycler through the
-        // vault mutex acquired just below, which orders the store.
-        unsafe { (*retired.hdr).retire_era.store(epoch, Ordering::Relaxed) };
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.push_back(retired);
-            vault.len()
-        };
-        handle.retire_count += 1;
-        handle.domain.unreclaimed.add(slot, 1);
-        if handle
-            .retire_count
-            .is_multiple_of(handle.domain.config.epoch_freq())
-        {
-            handle.domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-        }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.drain_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-            if domain.vaults[slot].lock().len() >= domain.config.scan_threshold {
-                // Still blocked: advance the epoch so lagging readers trip
-                // the displacement bound and re-announce.
-                domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            }
-        }
+        // SAFETY: forwarded — the caller guarantees the retire contract.
+        unsafe { self.retire_batch(&[ptr]) };
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
     unsafe fn dealloc<T>(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller guarantees the pointer was never published, so
-        // this thread is the only one that has ever seen the block; freeing
-        // it through the pool runs its destructor exactly once. VBR's version
-        // stamp is irrelevant here — an unpublished block has no readers to
-        // displace.
-        unsafe { self.handle.pool.free(header_of(ptr.untagged().as_ptr())) };
+        // SAFETY: forwarded — the caller guarantees `ptr` was never
+        // published.  VBR's version stamp is irrelevant here — an unpublished
+        // block has no readers to displace.
+        unsafe { self.handle.core.dealloc(ptr) };
     }
 
     #[inline]
@@ -456,7 +327,7 @@ impl SmrGuard for VbrGuard<'_> {
         if global == self.op_epoch {
             return;
         }
-        let slot = &domain.slots[self.handle.claim.index];
+        let slot = &domain.slots[self.handle.core.index()];
         // The loop breaks with exactly the epoch stored into the slot, so the
         // cached `op_epoch` can never run ahead of the announcement (a cached
         // value ahead of the slot would elide forever while the stale
@@ -477,56 +348,39 @@ impl SmrGuard for VbrGuard<'_> {
             return;
         }
         let handle = &mut *self.handle;
-        // ORDERING: a stale epoch read only delays reclamation; safety comes
-        // from the two-era grace-period check (same argument as `retire`).
-        let epoch = handle.domain.global_epoch.load(Ordering::Relaxed);
-        let slot = handle.claim.index;
-        let pending = {
-            let mut vault = handle.domain.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                // SAFETY: the record was just built from a live block; its
-                // header is valid until the record is freed.
-                // ORDERING: published to the recycler by the vault mutex.
-                unsafe { (*retired.hdr).retire_era.store(epoch, Ordering::Relaxed) };
-                vault.push_back(retired);
-            }
-            vault.len()
+        let d = &*handle.domain;
+        // ORDERING: Relaxed — a stale epoch read only delays reclamation;
+        // safety comes from the two-era grace-period check.  The stamp only
+        // has to be no older than the epoch this thread announced at its last
+        // checkpoint (published with SeqCst there), and it reaches the
+        // recycler through the vault mutex.
+        let epoch = d.global_epoch.load(Ordering::Relaxed);
+        // SAFETY: forwarded — the caller guarantees the retire contract for
+        // every element of the batch.
+        let pending = unsafe {
+            d.limbo
+                .push(&d.core, handle.core.index(), batch, Some(epoch))
         };
-        handle.domain.unreclaimed.add(slot, batch.len());
-        // Preserve the per-retire epoch cadence across the batch: bump once
-        // per epoch-frequency multiple the batch crossed.
-        let freq = handle.domain.config.epoch_freq();
-        let before = handle.retire_count;
+        // Epoch cadence: one bump per `epoch_freq` retirements, however they
+        // were batched (no division on the common no-bump path).
+        let freq = d.core.config.epoch_freq();
         handle.retire_count += batch.len();
-        let bumps = (handle.retire_count / freq - before / freq) as u64;
-        if bumps > 0 {
-            handle
-                .domain
-                .global_epoch
-                .fetch_add(bumps, Ordering::SeqCst);
+        if handle.retire_count >= freq {
+            d.global_epoch
+                .fetch_add((handle.retire_count / freq) as u64, Ordering::SeqCst);
+            handle.retire_count %= freq;
         }
-        if pending >= handle.domain.config.scan_threshold {
-            let domain = handle.domain.clone();
-            domain.drain_vault(slot, slot, &mut handle.pool);
-            domain.adopt_orphans(slot, &mut handle.pool);
-            if domain.vaults[slot].lock().len() >= domain.config.scan_threshold {
-                // Still blocked: advance the epoch so lagging readers trip
-                // the displacement bound and re-announce.
-                domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-            }
+        let threshold = d.core.config.scan_threshold;
+        if pending >= threshold && handle.scan() >= threshold {
+            // Still blocked: advance the epoch so lagging readers trip the
+            // displacement bound and re-announce.
+            handle.domain.global_epoch.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     #[inline]
     fn checkpoint(&mut self) {
-        let slot = &self.handle.domain.slots[self.handle.claim.index];
+        let slot = &self.handle.domain.slots[self.handle.core.index()];
         self.op_epoch = loop {
             let e = self.handle.domain.global_epoch.load(Ordering::SeqCst);
             slot.epoch.store(e, Ordering::SeqCst);
@@ -732,23 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_batch_reclaims_like_per_node_retire() {
-        let d = Vbr::new(small_config());
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let batch: Vec<_> = (0..48u64).map(|i| g.alloc(i)).collect();
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire_batch(&batch) };
-        }
-        for _ in 0..4 {
-            h.flush();
-        }
-        assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
     fn fifo_drain_stops_at_the_first_protected_entry() {
         let d = Vbr::new(SmrConfig {
             max_threads: 4,
@@ -778,44 +615,13 @@ mod tests {
             }
         }
         assert_eq!(d.unreclaimed(), 4);
-        let domain = d.clone();
-        domain.drain_vault(worker.claim.index, worker.claim.index, &mut worker.pool);
+        worker.scan();
         assert_eq!(
             d.unreclaimed(),
             2,
             "the pre-pin prefix drains, the reader-epoch suffix stays"
         );
         drop(g);
-    }
-
-    #[test]
-    fn leaked_handle_on_dead_thread_is_adopted() {
-        let d = Vbr::new(small_config());
-        let dd = d.clone();
-        std::thread::spawn(move || {
-            let mut h = dd.register();
-            {
-                let mut g = h.pin();
-                for i in 0..3u64 {
-                    let p = g.alloc(i);
-                    // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-                    unsafe { g.retire(p) };
-                }
-            }
-            // Simulate a thread dying without unwinding its handle.
-            std::mem::forget(h);
-        })
-        .join()
-        .unwrap();
-        let mut survivor = d.register();
-        for _ in 0..8 {
-            survivor.flush();
-        }
-        assert_eq!(
-            d.unreclaimed(),
-            0,
-            "a survivor must adopt and drain the dead thread's recycle queue"
-        );
     }
 
     #[test]
@@ -852,26 +658,5 @@ mod tests {
         }
         drop(h);
         assert_eq!(d.unreclaimed(), 0);
-    }
-
-    #[test]
-    fn orphans_are_freed_on_domain_drop() {
-        let d = Vbr::new(small_config());
-        let mut reader = d.register();
-        let mut h = d.register();
-        {
-            let mut g = h.pin();
-            let p = g.alloc(1u64);
-            // SAFETY: `p` was just allocated and never published, so this thread is its sole owner.
-            unsafe { g.retire(p) };
-        }
-        // A pinned reader keeps the entry ineligible, so the handle drop must
-        // orphan it instead of draining it.
-        let rg = reader.pin();
-        drop(h);
-        assert_eq!(d.unreclaimed(), 1);
-        drop(rg);
-        drop(reader);
-        drop(d);
     }
 }

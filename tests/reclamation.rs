@@ -3,7 +3,10 @@
 //! EBR's unbounded growth) that motivates the whole paper.
 
 use scot::{ConcurrentSet, HarrisList, NmTree, SkipList};
-use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Smr, SmrConfig, SmrHandle, Vbr};
+use scot_smr::{
+    Atomic, Ebr, He, Hp, Hyaline, Ibr, Nbr, Smr, SmrConfig, SmrGuard, SmrHandle, SmrKind, Vbr,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn cfg() -> SmrConfig {
@@ -515,3 +518,226 @@ fn tree_reclaims_everything_after_concurrent_churn() {
     drop(h);
     assert_eq!(domain.unreclaimed(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Record lifecycle: adoption, batched retirement and domain teardown, checked
+// once for every reclaiming variant (`HPopt`/`HEopt`/`IBRopt` are the
+// `snapshot_scan` instances).
+// ---------------------------------------------------------------------------
+
+/// Payload that counts its destructor runs, so a test can assert that every
+/// retired block was freed exactly once rather than only that the domain's
+/// `unreclaimed` counter reads zero.
+struct Counted(Arc<AtomicUsize>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Four slots and a scan threshold no test reaches, so every reclamation
+/// pass below is an explicit `flush` or a handle/domain teardown.
+fn lifecycle_cfg(snapshot_scan: bool) -> SmrConfig {
+    SmrConfig {
+        max_threads: 4,
+        scan_threshold: 64,
+        epoch_freq_per_thread: 1,
+        snapshot_scan,
+        ..SmrConfig::default()
+    }
+}
+
+/// Instantiates a generic lifecycle test as one `#[test]` per reclaiming
+/// variant, in a module named after the test.
+macro_rules! for_each_reclaiming_variant {
+    ($test:ident) => {
+        mod $test {
+            use super::*;
+            #[test]
+            fn ebr() {
+                super::$test::<Ebr>(false);
+            }
+            #[test]
+            fn hp() {
+                super::$test::<Hp>(false);
+            }
+            #[test]
+            fn hpopt() {
+                super::$test::<Hp>(true);
+            }
+            #[test]
+            fn he() {
+                super::$test::<He>(false);
+            }
+            #[test]
+            fn heopt() {
+                super::$test::<He>(true);
+            }
+            #[test]
+            fn ibr() {
+                super::$test::<Ibr>(false);
+            }
+            #[test]
+            fn ibropt() {
+                super::$test::<Ibr>(true);
+            }
+            #[test]
+            fn hyaline() {
+                super::$test::<Hyaline>(false);
+            }
+            #[test]
+            fn nbr() {
+                super::$test::<Nbr>(false);
+            }
+            #[test]
+            fn vbr() {
+                super::$test::<Vbr>(false);
+            }
+        }
+    };
+}
+
+/// A handle leaked on a thread that then exits is adopted by a survivor's
+/// flush: the dead slot's reservations are neutralized, its retired blocks
+/// are freed exactly once, and the slot itself is recycled.  The dead thread
+/// dies outside its critical section and, for every scheme but Hyaline,
+/// also inside one (its guard leaked with a protection published); Hyaline
+/// poisons a slot whose owner died inside a critical section, which its own
+/// unit test covers.
+fn leaked_handle_on_dead_thread_is_adopted<S: Smr>(snapshot_scan: bool) {
+    for in_cs in [false, true] {
+        let d = S::new(lifecycle_cfg(snapshot_scan));
+        if in_cs && d.kind() == SmrKind::Hyaline {
+            continue;
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        {
+            let (d, drops) = (d.clone(), drops.clone());
+            std::thread::spawn(move || {
+                let mut h = d.register();
+                let mut g = h.pin();
+                let cell = Atomic::new(g.alloc(Counted(drops.clone())));
+                let p = g.protect(0, &cell);
+                // SAFETY: `p` is test-local and retired exactly once; the
+                // protection published above is what adoption must clear.
+                unsafe { g.retire(p) };
+                for _ in 0..2 {
+                    let q = g.alloc(Counted(drops.clone()));
+                    // SAFETY: `q` was never published; retired exactly once.
+                    unsafe { g.retire(q) };
+                }
+                if in_cs {
+                    std::mem::forget(g);
+                } else {
+                    drop(g);
+                }
+                std::mem::forget(h);
+            })
+            .join()
+            .unwrap();
+        }
+        let name = d.name();
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "{name} in_cs={in_cs}");
+        assert_eq!(d.unreclaimed(), 3, "{name} in_cs={in_cs}");
+        let mut survivor = d.register();
+        for _ in 0..8 {
+            survivor.flush();
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            3,
+            "{name} in_cs={in_cs}: adoption must free the dead thread's retired blocks exactly once"
+        );
+        assert_eq!(d.unreclaimed(), 0, "{name} in_cs={in_cs}");
+        let others: Vec<_> = (1..4)
+            .map(|_| {
+                d.try_register().unwrap_or_else(|e| {
+                    panic!("{name} in_cs={in_cs}: adopted slot not recycled: {e}")
+                })
+            })
+            .collect();
+        drop(others);
+    }
+}
+
+for_each_reclaiming_variant!(leaked_handle_on_dead_thread_is_adopted);
+
+/// `retire_batch` reclaims exactly like per-node `retire`: half the blocks go
+/// through each path, and after quiescence every destructor ran exactly once.
+fn retire_batch_reclaims_like_per_node_retire<S: Smr>(snapshot_scan: bool) {
+    let d = S::new(lifecycle_cfg(snapshot_scan));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut h = d.register();
+    {
+        let mut g = h.pin();
+        let blocks: Vec<_> = (0..48).map(|_| g.alloc(Counted(drops.clone()))).collect();
+        let (single, batch) = blocks.split_at(24);
+        for &p in single {
+            // SAFETY: each block was just allocated and never published, so
+            // this thread is its sole owner and retires it exactly once.
+            unsafe { g.retire(p) };
+        }
+        // SAFETY: as above, for the other half.
+        unsafe { g.retire_batch(batch) };
+    }
+    for _ in 0..4 {
+        h.flush();
+    }
+    assert_eq!(d.unreclaimed(), 0, "{}", d.name());
+    assert_eq!(drops.load(Ordering::SeqCst), 48, "{}", d.name());
+}
+
+for_each_reclaiming_variant!(retire_batch_reclaims_like_per_node_retire);
+
+/// Domain teardown frees what no handle could: the vault of a handle leaked
+/// on a dead thread and never adopted, plus a block a departing handle had to
+/// leave behind (on the orphan list) because a reader still protected it.
+fn orphans_are_freed_on_domain_drop<S: Smr>(snapshot_scan: bool) {
+    let d = S::new(lifecycle_cfg(snapshot_scan));
+    let drops = Arc::new(AtomicUsize::new(0));
+    {
+        let (d, drops) = (d.clone(), drops.clone());
+        std::thread::spawn(move || {
+            let mut h = d.register();
+            let mut g = h.pin();
+            for _ in 0..3 {
+                let p = g.alloc(Counted(drops.clone()));
+                // SAFETY: `p` was never published; retired exactly once.
+                unsafe { g.retire(p) };
+            }
+            drop(g);
+            std::mem::forget(h);
+        })
+        .join()
+        .unwrap();
+    }
+    let mut reader = d.register();
+    let mut leaving = d.register();
+    let cell = Atomic::new(leaving.pin().alloc(Counted(drops.clone())));
+    let mut rg = reader.pin();
+    let p = rg.protect(0, &cell);
+    // SAFETY: `p` is test-local and retired exactly once; the reader's
+    // protection keeps the departing handle's sweep from freeing it.
+    unsafe { leaving.pin().retire(p) };
+    drop(leaving);
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "{}", d.name());
+    drop(rg);
+    drop(reader);
+    // The leaked handle's `Arc` clone would keep the domain alive forever:
+    // release exactly that reference, as if the handle's memory had been
+    // reclaimed without running its destructor.
+    assert_eq!(Arc::strong_count(&d), 2);
+    // SAFETY: the leaked handle holds one strong count and is never touched
+    // again (its thread has exited), so this decrement cannot free the
+    // domain under a live user; `d` itself still holds the other count.
+    unsafe { Arc::decrement_strong_count(Arc::as_ptr(&d)) };
+    drop(d);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        4,
+        "every retired block must be freed exactly once by the end of domain drop"
+    );
+}
+
+for_each_reclaiming_variant!(orphans_are_freed_on_domain_drop);
