@@ -21,22 +21,32 @@
 //!   binary-search each retired node — the optimization the paper borrows from
 //!   the Hyaline work, which it reports as substantially faster in some tests.
 //!
+//! ## Publication ordering
+//!
+//! `protect` and `announce` publish with a `Release` store followed by
+//! [`fence::light`], and every scan starts with [`fence::heavy`] (see
+//! [`crate::fence`]).  Take the point in a reader's program order where the
+//! scan's heavy fence reaches it.  Either the hazard store comes before that
+//! point, and the scan sees it; or the reader's validating re-read comes after
+//! it, hence after the unlink that preceded the scan, and the re-read sees the
+//! new link and retries.  No per-hop `SeqCst` store is needed.
+//!
 //! ## `dup` ordering
 //!
 //! `dup` uses a `Release` store, exactly as the paper specifies, and relies on
 //! two disciplines that the data-structure code upholds: duplication only
 //! copies a **lower** slot index into a **higher** one, and scans read slots in
-//! ascending index order.  Together these close the window in which a scanning
-//! thread could observe the old value of the destination slot after the source
-//! slot was already overwritten (§3.2 of the paper).  This matches the
-//! x86-TSO evaluation platform of the paper; the conservative alternative
-//! (SeqCst `dup`) would reintroduce the memory barrier the unrolled traversal
-//! is designed to avoid.
+//! ascending index order with `Acquire` loads after the heavy fence.  A scan
+//! that already sees the source slot overwritten has acquired that later
+//! `Release` store, so its subsequent load of the higher destination slot sees
+//! the duplicate (§3.2 of the paper); a scan that still sees the source slot
+//! sees the protection there.  A `SeqCst` `dup` would reintroduce the memory
+//! barrier the unrolled traversal is designed to avoid.
 
 use crate::block::Retired;
 use crate::ptr::{Atomic, Shared};
 use crate::record::{DomainCore, HandleCore, Limbo};
-use crate::{Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
+use crate::{fence, Smr, SmrConfig, SmrError, SmrGuard, SmrHandle, SmrKind, MAX_HAZARDS};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,6 +69,8 @@ pub struct Hp {
     core: DomainCore,
     limbo: Limbo,
     slots: Box<[CachePadded<HpSlot>]>,
+    /// The process's fence pair ([`fence::asymmetric`]), read once here.
+    asymmetric: bool,
 }
 
 impl Smr for Hp {
@@ -70,6 +82,7 @@ impl Smr for Hp {
         Arc::new(Self {
             limbo: Limbo::new(n),
             slots: (0..n).map(|_| CachePadded::new(HpSlot::new())).collect(),
+            asymmetric: fence::asymmetric(),
             core,
         })
     }
@@ -80,7 +93,7 @@ impl Smr for Hp {
             // ORDERING: Relaxed — the slot is not yet visible to any scan
             // (the claim CAS in `try_claim` is what publishes it, and scans
             // skip unclaimed slots); the first real publication goes through
-            // `protect`'s SeqCst store.
+            // `publish`.
             h.store(0, Ordering::Relaxed);
         }
         Ok(HpHandle {
@@ -105,7 +118,7 @@ impl Smr for Hp {
 impl Hp {
     /// True if `addr` is currently published in any hazard slot.  Used by the
     /// baseline (non-snapshot) scan: one full pass over the hazard array per
-    /// retired node.
+    /// retired node.  Runs after the heavy fence of [`Hp::can_free`].
     fn is_protected(&self, addr: usize) -> bool {
         for (i, slot) in self.slots.iter().enumerate() {
             if !self.core.registry.is_claimed(i) {
@@ -113,7 +126,10 @@ impl Hp {
             }
             // Ascending index order; see the module documentation on `dup`.
             for h in &slot.hazards {
-                if h.load(Ordering::SeqCst) == addr {
+                // ORDERING: Acquire — the heavy fence already ordered every
+                // fenced publication against this scan; Acquire carries the
+                // `dup` argument (module docs).
+                if h.load(Ordering::Acquire) == addr {
                     return true;
                 }
             }
@@ -129,7 +145,8 @@ impl Hp {
                 continue;
             }
             for h in &slot.hazards {
-                let v = h.load(Ordering::SeqCst);
+                // ORDERING: Acquire — as in `is_protected`.
+                let v = h.load(Ordering::Acquire);
                 if v != 0 {
                     snap.push(v);
                 }
@@ -142,8 +159,10 @@ impl Hp {
 
     /// A retired (unlinked) node is free when no hazard names its address:
     /// HPopt binary-searches one snapshot taken *after* the node was
-    /// unlinked; HP rescans every claimed slot's hazards with SeqCst loads.
+    /// unlinked; HP rescans every claimed slot's hazards.  Either scan runs
+    /// after one heavy fence, which pairs with the readers' light fences.
     fn can_free(&self) -> impl FnMut(&Retired) -> bool + '_ {
+        fence::heavy(self.asymmetric);
         let snap = self.core.config.snapshot_scan.then(|| self.snapshot());
         move |r| match &snap {
             Some(snap) => snap.binary_search(&r.value).is_err(),
@@ -233,17 +252,34 @@ impl HpGuard<'_> {
     fn hazards(&self) -> &[AtomicUsize; MAX_HAZARDS] {
         &self.handle.domain.slots[self.handle.core.index()].hazards
     }
+
+    /// Publishes `addr` in slot `idx`, ordered before the caller's next
+    /// validating load by the light fence (module docs).
+    #[inline]
+    fn publish(&mut self, idx: usize, addr: usize) {
+        self.used |= 1 << idx;
+        // ORDERING: Release — a scan that acquires this value also sees this
+        // guard's earlier `dup`s.  The light fence orders the store before the
+        // validating load, paired with the scan's heavy fence (module docs).
+        self.hazards()[idx].store(addr, Ordering::Release);
+        fence::light(self.handle.domain.asymmetric);
+    }
+
+    /// Clears every slot this guard published.
+    #[inline]
+    fn unpublish(&mut self) {
+        while self.used != 0 {
+            // ORDERING: Release — this guard's reads of the node happen
+            // before any scan that acquires the cleared slot and frees it.
+            self.hazards()[self.used.trailing_zeros() as usize].store(0, Ordering::Release);
+            self.used &= self.used - 1;
+        }
+    }
 }
 
 impl Drop for HpGuard<'_> {
     fn drop(&mut self) {
-        if self.used != 0 {
-            for (idx, hazard) in self.hazards().iter().enumerate() {
-                if self.used & (1 << idx) != 0 {
-                    hazard.store(0, Ordering::Release);
-                }
-            }
-        }
+        self.unpublish();
     }
 }
 
@@ -258,8 +294,6 @@ impl SmrGuard for HpGuard<'_> {
         // Figure 1 `protect`: publish, then verify the source still holds the
         // published pointer.  The hazard slot always stores the untagged
         // address ("also clear logical-deletion bits").
-        self.used |= 1 << idx;
-        let hazards = &self.handle.domain.slots[self.handle.core.index()].hazards;
         let mut published = usize::MAX;
         loop {
             let ptr = src.load(Ordering::Acquire);
@@ -267,15 +301,14 @@ impl SmrGuard for HpGuard<'_> {
             if addr == published {
                 return ptr;
             }
-            hazards[idx].store(addr, Ordering::SeqCst);
+            self.publish(idx, addr);
             published = addr;
         }
     }
 
     #[inline]
     fn announce<T>(&mut self, idx: usize, ptr: Shared<T>) {
-        self.used |= 1 << idx;
-        self.hazards()[idx].store(ptr.untagged().into_raw(), Ordering::SeqCst);
+        self.publish(idx, ptr.untagged().into_raw());
     }
 
     #[inline]
@@ -321,14 +354,7 @@ impl SmrGuard for HpGuard<'_> {
     /// registry owner check.
     #[inline]
     fn repin(&mut self) {
-        if self.used != 0 {
-            for (idx, hazard) in self.hazards().iter().enumerate() {
-                if self.used & (1 << idx) != 0 {
-                    hazard.store(0, Ordering::Release);
-                }
-            }
-            self.used = 0;
-        }
+        self.unpublish();
     }
 
     // SAFETY: callers must guarantee every pointer in `batch` satisfies the

@@ -62,6 +62,7 @@ pub mod ptr;
 pub mod registry;
 
 mod ebr;
+mod fence;
 mod he;
 mod hp;
 mod hyaline;

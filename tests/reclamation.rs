@@ -297,6 +297,97 @@ mod value_reads_under_churn {
     }
 }
 
+/// A node whose destructor poisons its stamp, so a reader that still holds
+/// it after a premature free sees the stamp change: to 0 on the free, or to a
+/// newer stamp once the pool recycles the block.
+struct Stamped(std::sync::atomic::AtomicU64);
+
+impl Drop for Stamped {
+    fn drop(&mut self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The hazard publication window: a writer swaps a shared pointer to fresh
+/// stamped nodes and retires each old one with `scan_threshold: 1`, so every
+/// retire runs a full scan (and its heavy fence) and the pool recycles the
+/// freed block at the next allocation.  A reader protects the shared pointer
+/// and checks that the stamp stays put while it holds the protection.  A scan
+/// that missed a hazard still in the reader's store buffer frees the node
+/// under it.  Racy by nature: a pass is evidence, not proof.
+fn hp_publication_window(snapshot_scan: bool) {
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    const READS: u64 = 100_000;
+    let d = Hp::new(SmrConfig {
+        max_threads: 2,
+        scan_threshold: 1,
+        snapshot_scan,
+        pool_capacity: Some(32),
+        ..SmrConfig::default()
+    });
+    let mut writer = d.register();
+    let shared = {
+        let mut g = writer.pin();
+        Atomic::new(g.alloc(Stamped(AtomicU64::new(1))))
+    };
+    let done = AtomicBool::new(false);
+    let failure = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut g = writer.pin();
+            let mut stamp = 1;
+            while !done.load(Ordering::Relaxed) {
+                stamp += 1;
+                let fresh = g.alloc(Stamped(AtomicU64::new(stamp)));
+                let old = shared.swap(fresh, Ordering::AcqRel);
+                // SAFETY: the swap unlinked `old`; only this thread swaps, so
+                // it is retired exactly once.
+                unsafe { g.retire(old) };
+            }
+        });
+        let reader = s.spawn(|| {
+            let mut reader = d.register();
+            let mut g = reader.pin();
+            let failure = (0..READS).find_map(|round| {
+                let p = g.protect(0, &shared);
+                // SAFETY: hazard 0 publishes `p`, validated against `shared`.
+                let node = unsafe { p.deref() };
+                let before = node.0.load(Ordering::Relaxed);
+                for _ in 0..64 {
+                    std::hint::spin_loop();
+                }
+                let after = node.0.load(Ordering::Relaxed);
+                (before == 0 || before != after)
+                    .then(|| format!("round {round}: stamp moved {before} -> {after}"))
+            });
+            // Stop the writer before reporting, so a failure cannot hang it.
+            done.store(true, Ordering::Relaxed);
+            failure
+        });
+        reader.join().unwrap()
+    });
+    assert!(
+        failure.is_none(),
+        "protected node freed under a published hazard (snapshot={snapshot_scan}): {failure:?}"
+    );
+    let mut g = writer.pin();
+    let last = shared.swap(scot_smr::Shared::null(), Ordering::AcqRel);
+    // SAFETY: unlinked by the swap above, retired exactly once.
+    unsafe { g.retire(last) };
+    drop(g);
+    writer.flush();
+    assert_eq!(d.unreclaimed(), 0, "snapshot={snapshot_scan}");
+}
+
+#[test]
+fn hp_publication_window_holds() {
+    hp_publication_window(false);
+}
+
+#[test]
+fn hpopt_publication_window_holds() {
+    hp_publication_window(true);
+}
+
 /// Skip-list churn under the restricted schemes, with the block pool both on
 /// and off: retired towers must stay bounded while threads churn (no
 /// accumulation from the multi-level unlink/handshake protocol) and account
