@@ -166,16 +166,12 @@ fn cmd_run(args: &[String]) {
             scan_pct: scan,
         },
         duration: Duration::from_secs_f64(seconds),
-        sample_interval: Duration::from_millis(10),
-        seed: 0x5c07,
-        pool: true,
-        value_bytes: 0,
         scan_len,
-        zipf_theta: 0.0,
         pin_batch,
         backoff,
         prefetch,
         chain_batch,
+        ..RunConfig::paper_default(threads, key_range)
     };
     let result = run_timed(ds, smr, &cfg);
     println!("{}", result.row());

@@ -104,8 +104,9 @@ impl ExperimentOptions {
         }
     }
 
-    /// Base [`RunConfig`] for a preset point with this options set's tuning
-    /// knobs (duration, pin batch, backoff) already applied.
+    /// Base [`RunConfig`] for a preset point: the paper's 50/25/25 default
+    /// with this options set's duration, pin batch and backoff.  The phased
+    /// presets (`faults`, `service`) keep their plans' own phase durations.
     fn base_config(&self, threads: usize, key_range: u64) -> RunConfig {
         let mut cfg = RunConfig::paper_default(threads, key_range);
         cfg.duration = self.duration;
@@ -357,6 +358,99 @@ pub fn spec(id: &str, opts: &ExperimentOptions) -> Option<ExperimentSpec> {
     Some(s)
 }
 
+/// One measured configuration of a preset: the pair under test, the config
+/// it runs with, and the scheme label its result carries (the pool and
+/// cursor ablations suffix theirs, e.g. `EBR+pool`, `HP+repin`).
+struct Point {
+    ds: DsKind,
+    smr: SmrKind,
+    cfg: RunConfig,
+    label: String,
+}
+
+/// Every configuration a preset runs, in run order: each structure × scheme
+/// pair of the spec, at every requested thread count for the paper's
+/// figures and Table 2 and at the largest one for everything else, times
+/// the preset's own arms.  Every config starts from
+/// [`ExperimentOptions::base_config`], so the tuning knobs reach every
+/// runner; only the cursor ablation overrides them, per arm.
+fn points(spec: &ExperimentSpec, opts: &ExperimentOptions) -> Vec<Point> {
+    let threads: Vec<usize> = if spec.id.starts_with("fig") || spec.id == "tab2" {
+        opts.threads.clone()
+    } else {
+        vec![*opts.threads.last().unwrap_or(&2)]
+    };
+    let repin_batch = if opts.pin_batch > 1 {
+        opts.pin_batch
+    } else {
+        16
+    };
+    let mut out = Vec::new();
+    for &ds in &spec.structures {
+        for &smr in &spec.schemes {
+            for &t in &threads {
+                let base = opts.base_config(t, spec.key_range);
+                let mut push = |suffix: &str, cfg: RunConfig| {
+                    let label = format!("{}{suffix}", smr.name());
+                    out.push(Point {
+                        ds,
+                        smr,
+                        cfg,
+                        label,
+                    });
+                };
+                match spec.id {
+                    // Write-only, where alloc/retire dominate: pool on, then off.
+                    "pool" => {
+                        for pool in [true, false] {
+                            let mut cfg = base.clone();
+                            cfg.mix = Mix::WRITE_ONLY;
+                            cfg.pool = pool;
+                            push(if pool { "+pool" } else { "-pool" }, cfg);
+                        }
+                    }
+                    "cache" => {
+                        let mut cfg = base;
+                        cfg.mix = Mix::READ_90;
+                        cfg.value_bytes = opts.value_bytes;
+                        push("", cfg);
+                    }
+                    // Every scan is oracle-checked as it runs, so a run that
+                    // completes certifies scan correctness under its scheme.
+                    "scan" => {
+                        for &scan_len in &opts.scan_lens {
+                            let mut cfg = base.clone();
+                            cfg.mix = Mix::SCAN_HEAVY;
+                            cfg.scan_len = scan_len;
+                            push("", cfg);
+                        }
+                    }
+                    "cursor" => {
+                        for arm in cursor_arms(repin_batch) {
+                            let mut cfg = base.clone();
+                            cfg.pin_batch = arm.pin_batch;
+                            cfg.prefetch = arm.prefetch;
+                            cfg.backoff = arm.backoff;
+                            cfg.chain_batch = arm.chain_batch;
+                            push(arm.suffix, cfg);
+                        }
+                    }
+                    _ => push("", base),
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Runs one configuration `runs` times and keeps the median-throughput
+/// result, as the paper does.
+fn median_of(runs: usize, mut run: impl FnMut() -> RunResult) -> RunResult {
+    let mut results: Vec<RunResult> = (0..runs).map(|_| run()).collect();
+    results.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
+    results.swap_remove(results.len() / 2)
+}
+
 /// Runs one experiment preset, returning every measured point.
 /// `progress` is invoked after each completed run with its textual row.
 pub fn run_experiment(
@@ -365,159 +459,40 @@ pub fn run_experiment(
     mut progress: impl FnMut(&RunResult),
 ) -> Option<Vec<RunResult>> {
     let spec = spec(id, opts)?;
-    if id == "pool" {
-        return Some(run_pool_ablation(&spec, opts, progress));
-    }
-    if id == "faults" {
-        // The fault harness has its own richer report type; expose the
-        // footprint numbers through the uniform `RunResult` plumbing and let
-        // the CLI call `run_faults_experiment` directly for the verdicts.
-        let reports = run_faults_experiment(opts, |_| {});
-        let results: Vec<RunResult> = reports.iter().map(fault_run_result).collect();
-        for r in &results {
-            progress(r);
-        }
-        return Some(results);
-    }
-    if id == "cache" {
-        return Some(run_cache_experiment(&spec, opts, progress));
-    }
-    if id == "scan" {
-        return Some(run_scan_experiment(&spec, opts, progress));
-    }
-    if id == "cursor" {
-        return Some(run_cursor_ablation(&spec, opts, progress));
-    }
-    if id == "service" {
-        // The service runner has its own richer report type; expose the
-        // per-phase throughput through the uniform `RunResult` plumbing and
-        // let the CLI call `run_service_experiment` directly for the full
-        // latency table.
-        let reports = run_service_experiment(opts, |_| {});
-        let results: Vec<RunResult> = reports
+    // The fault and service runners have their own richer report types;
+    // expose their footprint and per-phase throughput through the uniform
+    // `RunResult` plumbing and let the CLI call `run_faults_experiment` /
+    // `run_service_experiment` directly for the verdict and latency tables.
+    let phased: Vec<RunResult> = match id {
+        "faults" => run_faults_experiment(opts, |_| {})
+            .iter()
+            .map(fault_run_result)
+            .collect(),
+        "service" => run_service_experiment(opts, |_| {})
             .iter()
             .filter(|r| r.op_class == "get")
             .map(service_run_result)
-            .collect();
-        for r in &results {
-            progress(r);
+            .collect(),
+        _ => {
+            let results = points(&spec, opts).into_iter().map(|p| {
+                // The cache preset is the key-value workload: `Payload`
+                // values behind a value-reading get.
+                let mut r = median_of(opts.runs, || {
+                    if id == "cache" {
+                        run_timed_kv(p.ds, p.smr, &p.cfg)
+                    } else {
+                        run_timed(p.ds, p.smr, &p.cfg)
+                    }
+                });
+                r.smr = p.label;
+                progress(&r);
+                r
+            });
+            return Some(results.collect());
         }
-        return Some(results);
-    }
-    // Single-point presets render one table row per scheme at the largest
-    // requested thread count instead of sweeping the full thread range.
-    let thread_counts: Vec<usize> = if id == "tab1" || id == "skiplist" {
-        vec![*opts.threads.last().unwrap_or(&2)]
-    } else {
-        opts.threads.clone()
     };
-    let mut results = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &threads in &thread_counts {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::READ_50;
-                // Median of `runs` repetitions, as in the paper.
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let median = runs.swap_remove(runs.len() / 2);
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    Some(results)
-}
-
-/// Runs the block-pool ablation: every structure/scheme pair of the spec,
-/// write-only mix (the workload where alloc/retire dominate), once with the
-/// pool enabled and once without.  The pool-off arm's scheme label carries a
-/// `-pool` suffix so the two series stay distinguishable in JSON output and
-/// in [`pool_table`].
-fn run_pool_ablation(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for pool in [true, false] {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::WRITE_ONLY;
-                cfg.pool = pool;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let mut median = runs.swap_remove(runs.len() / 2);
-                median.smr = format!("{}{}", smr.name(), if pool { "+pool" } else { "-pool" });
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    results
-}
-
-/// Runs the key-value cache experiment: the read-dominated (90% get) workload
-/// of [`run_timed_kv`], with `opts.value_bytes` of padding per stored value,
-/// swept over every scheme variant in the spec (all of [`SmrKind::ALL`], per
-/// the Table-1 claim that one fixed structure serves them all).
-fn run_cache_experiment(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            let mut cfg = opts.base_config(threads, spec.key_range);
-            cfg.mix = Mix::READ_90;
-            cfg.value_bytes = opts.value_bytes;
-            let mut runs: Vec<RunResult> = (0..opts.runs)
-                .map(|_| run_timed_kv(ds, smr, &cfg))
-                .collect();
-            runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-            let median = runs.swap_remove(runs.len() / 2);
-            progress(&median);
-            results.push(median);
-        }
-    }
-    results
-}
-
-/// Runs the range-scan experiment: the scan-heavy mix of [`Mix::SCAN_HEAVY`]
-/// (80% guard-scoped scans over a churning key space) swept over every scheme
-/// variant and every scan length in `opts.scan_lens`.  Every scan's output is
-/// oracle-checked in the hot loop (window bounds, uniqueness, ascending order
-/// for the ordered structures), so a run that completes at all certifies
-/// scan correctness under that scheme.
-fn run_scan_experiment(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let mut results = Vec::new();
-    let threads = *opts.threads.last().unwrap_or(&2);
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &scan_len in &opts.scan_lens {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::SCAN_HEAVY;
-                cfg.scan_len = scan_len;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let median = runs.swap_remove(runs.len() / 2);
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    results
+    phased.iter().for_each(progress);
+    Some(phased)
 }
 
 /// One arm of the cursor hot-path ablation: a scheme-label suffix plus the
@@ -576,44 +551,6 @@ fn cursor_arms(repin_batch: u64) -> [CursorArm; 6] {
     ]
 }
 
-/// Runs the cursor hot-path ablation: every structure × scheme pair of the
-/// spec at the largest requested thread count, once per arm, with the arm
-/// suffix carried on the scheme label (as the pool ablation does), so the
-/// JSON artifact and [`cursor_table`] can compute per-arm deltas.
-fn run_cursor_ablation(
-    spec: &ExperimentSpec,
-    opts: &ExperimentOptions,
-    mut progress: impl FnMut(&RunResult),
-) -> Vec<RunResult> {
-    let threads = *opts.threads.last().unwrap_or(&2);
-    let repin_batch = if opts.pin_batch > 1 {
-        opts.pin_batch
-    } else {
-        16
-    };
-    let mut results = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for arm in cursor_arms(repin_batch) {
-                let mut cfg = opts.base_config(threads, spec.key_range);
-                cfg.mix = Mix::READ_50;
-                cfg.pin_batch = arm.pin_batch;
-                cfg.prefetch = arm.prefetch;
-                cfg.backoff = arm.backoff;
-                cfg.chain_batch = arm.chain_batch;
-                let mut runs: Vec<RunResult> =
-                    (0..opts.runs).map(|_| run_timed(ds, smr, &cfg)).collect();
-                runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
-                let mut median = runs.swap_remove(runs.len() / 2);
-                median.smr = format!("{}{}", smr.name(), arm.suffix);
-                progress(&median);
-                results.push(median);
-            }
-        }
-    }
-    results
-}
-
 /// Derives the phase schedule for one fault cell from the options: the
 /// requested per-run duration is split 1/4 warmup, 1/2 fault, 1/4 recovery
 /// (with floors so `--quick` cells still have meaningful phases).
@@ -637,16 +574,12 @@ pub fn run_faults_experiment(
     mut progress: impl FnMut(&FaultReport),
 ) -> Vec<FaultReport> {
     let spec = spec("faults", opts).expect("faults spec always exists");
-    let threads = *opts.threads.last().unwrap_or(&2);
     let mut reports = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            for &kind in &opts.faults {
-                let cfg = RunConfig::paper_default(threads, spec.key_range);
-                let r = run_fault_scenario(ds, smr, &cfg, &fault_plan_for(kind, opts));
-                progress(&r);
-                reports.push(r);
-            }
+    for p in points(&spec, opts) {
+        for &kind in &opts.faults {
+            let r = run_fault_scenario(p.ds, p.smr, &p.cfg, &fault_plan_for(kind, opts));
+            progress(&r);
+            reports.push(r);
         }
     }
     reports
@@ -695,20 +628,14 @@ pub fn run_service_experiment(
     mut progress: impl FnMut(&ServiceReport),
 ) -> Vec<ServiceReport> {
     let spec = spec("service", opts).expect("service spec always exists");
-    let threads = *opts.threads.last().unwrap_or(&2);
     let plan = service_plan_for(opts);
     let mut reports = Vec::new();
-    for &ds in &spec.structures {
-        for &smr in &spec.schemes {
-            let cfg = RunConfig::paper_default(threads, spec.key_range);
-            let rows = run_service_scenario(ds, smr, &cfg, &plan);
-            for r in &rows {
-                if r.op_class == "get" {
-                    progress(r);
-                }
-            }
-            reports.extend(rows);
+    for p in points(&spec, opts) {
+        let rows = run_service_scenario(p.ds, p.smr, &p.cfg, &plan);
+        for r in rows.iter().filter(|r| r.op_class == "get") {
+            progress(r);
         }
+        reports.extend(rows);
     }
     reports
 }
@@ -1347,6 +1274,30 @@ mod tests {
             assert!(spec(id, &opts).is_some(), "missing spec for {id}");
         }
         assert!(spec("fig99", &opts).is_none());
+    }
+
+    #[test]
+    fn every_preset_but_cursor_runs_with_the_tuning_options() {
+        // The cursor ablation sets pin batch and backoff per arm on purpose;
+        // every other preset must run with the options' values.
+        let opts = ExperimentOptions {
+            pin_batch: 7,
+            backoff: BackoffMode::None,
+            ..ExperimentOptions::quick()
+        };
+        for id in ALL_EXPERIMENTS.into_iter().filter(|&id| id != "cursor") {
+            let points = points(&spec(id, &opts).unwrap(), &opts);
+            assert!(!points.is_empty(), "{id} runs nothing");
+            for p in &points {
+                assert_eq!(p.cfg.pin_batch, 7, "{id}/{}: --pin-batch lost", p.label);
+                assert_eq!(
+                    p.cfg.backoff,
+                    BackoffMode::None,
+                    "{id}/{}: --backoff lost",
+                    p.label
+                );
+            }
+        }
     }
 
     #[test]

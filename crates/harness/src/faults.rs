@@ -41,18 +41,19 @@
 //! Rather than silently fold that into the verdict, each report carries the
 //! worst case explicitly as [`FaultReport::pool_leak_bound`].
 
+use crate::hist::OpClass;
 use crate::phases::{
-    do_op, drive_phases, silence_injected_panics, stall_actor, wait_for_phase, PhaseEvent,
+    drive_phases, silence_injected_panics, stall_actor, wait_for_phase, PhaseEvent,
 };
 use crate::workload::{
-    op_loop, prefill, smr_config, with_target, DsKind, FastRng, RunConfig, Target,
+    exec, prepare, smr_config, spawn_workers, with_target, DsKind, FastRng, OpSelector, RunConfig,
+    Target, Totals, Visit,
 };
-use scot::{ConcurrentMap, ConcurrentSet, RangeScan};
+use scot::{ConcurrentMap, ConcurrentSet};
 use scot_smr::SmrKind;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Phase word value: fault-free warmup (baseline measurement at its end).
@@ -214,18 +215,39 @@ pub struct FaultOutput {
     pub samples: Vec<(u8, usize)>,
 }
 
+/// One operation drawn by the shared selector from `cfg.mix`, under a fresh
+/// pin — the per-op discipline of the misbehaving actors.
+fn pinned_op<C: ConcurrentMap<u64, ()>>(
+    target: &Target<C>,
+    cfg: &RunConfig,
+    handle: &mut C::Handle,
+    rng: &mut FastRng,
+    select: &OpSelector,
+) {
+    let (class, key) = select.next(rng, &cfg.mix);
+    let mut guard = target.map.pin(handle);
+    exec(target, &mut guard, cfg, class, key, &mut 0);
+}
+
 /// [`FaultKind::ThreadDeath`]: retire some garbage, then exit without
 /// releasing the handle.  The slot stays claimed until the thread's exit
 /// beacon fires, at which point survivors adopt it.
-fn death_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
+fn death_actor<C: ConcurrentMap<u64, ()>>(
+    target: &Target<C>,
+    cfg: &RunConfig,
+    phase: &AtomicU8,
+    seed: u64,
+) {
+    let set = &target.map;
     let mut handle = ConcurrentMap::handle(set);
     let mut rng = FastRng::new(seed);
+    let select = OpSelector::new(cfg);
     while phase.load(Ordering::Acquire) < PHASE_FAULT {
-        do_op(set, &mut handle, &mut rng, key_range);
+        pinned_op(target, cfg, &mut handle, &mut rng, &select);
     }
     // Freshly retired nodes land in this slot's vault right before death.
     for _ in 0..64 {
-        let k = rng.below(key_range);
+        let k = rng.below(cfg.key_range);
         if !ConcurrentSet::insert(set, &mut handle, k) {
             ConcurrentSet::remove(set, &mut handle, &k);
         }
@@ -235,34 +257,26 @@ fn death_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: 
 }
 
 /// [`FaultKind::PanicDuringOp`]: panic with a guard live, rotating through
-/// the four operation kinds; each unwind must tear down guard and handle.
-fn panic_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
+/// the four operation classes; each unwind must tear down guard and handle.
+fn panic_actor<C: ConcurrentMap<u64, ()>>(
+    target: &Target<C>,
+    cfg: &RunConfig,
+    phase: &AtomicU8,
+    seed: u64,
+) {
     let mut rng = FastRng::new(seed);
     wait_for_phase(phase, PHASE_FAULT);
-    let mut op = 0u64;
+    let mut op = 0usize;
     while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        let key = rng.below(key_range);
+        let key = rng.below(cfg.key_range);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Fresh handle per attempt: the unwind tears down the guard
             // (dropping its protections) and then the handle (releasing its
             // slot) — exactly the RAII path a panicking application exercises.
-            let mut handle = ConcurrentMap::handle(set);
-            let mut guard = set.pin(&mut handle);
-            match op % 4 {
-                0 => {
-                    let _ = set.get(&mut guard, &key);
-                }
-                1 => {
-                    let _ = set.insert(&mut guard, key, ());
-                }
-                2 => {
-                    let _ = set.remove(&mut guard, &key);
-                }
-                _ => {
-                    let mut scan = set.scan(&mut guard, key, Some(key.saturating_add(16)));
-                    let _ = scan.next_entry();
-                }
-            }
+            let mut handle = ConcurrentMap::handle(&target.map);
+            let mut guard = target.map.pin(&mut handle);
+            let class = OpClass::ALL[op % OpClass::ALL.len()];
+            exec(target, &mut guard, cfg, class, key, &mut 0);
             panic!("injected fault");
         }));
         assert!(result.is_err(), "injected panic did not propagate");
@@ -289,64 +303,69 @@ fn churn_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: 
 
 /// [`FaultKind::PreemptionStorm`]: ops with a yield after each one, on 4×
 /// oversubscribed threads.
-fn storm_actor<C: ConcurrentMap<u64, ()>>(set: &C, phase: &AtomicU8, key_range: u64, seed: u64) {
-    let mut handle = ConcurrentMap::handle(set);
+fn storm_actor<C: ConcurrentMap<u64, ()>>(
+    target: &Target<C>,
+    cfg: &RunConfig,
+    phase: &AtomicU8,
+    seed: u64,
+) {
+    let mut handle = ConcurrentMap::handle(&target.map);
     let mut rng = FastRng::new(seed);
+    let select = OpSelector::new(cfg);
     wait_for_phase(phase, PHASE_FAULT);
     while phase.load(Ordering::Acquire) == PHASE_FAULT {
-        do_op(set, &mut handle, &mut rng, key_range);
+        pinned_op(target, cfg, &mut handle, &mut rng, &select);
         std::thread::yield_now();
     }
 }
 
-/// The phased fault runner (monomorphized per structure × scheme via
-/// [`crate::workload::TargetAny`]).
-pub(crate) fn faults_inner<C: ConcurrentMap<u64, ()> + 'static>(
+/// [`faults_inner`] as the visitor [`crate::workload::with_target`] hands the
+/// structure it builds.
+struct FaultRun<'a> {
+    cfg: &'a RunConfig,
+    plan: &'a FaultPlan,
+}
+
+impl Visit<()> for FaultRun<'_> {
+    type Out = FaultOutput;
+
+    fn visit<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> FaultOutput {
+        faults_inner(target, self.cfg, self.plan)
+    }
+}
+
+/// The phased fault runner.
+fn faults_inner<C: ConcurrentMap<u64, ()>>(
     target: &Target<C>,
     cfg: &RunConfig,
     plan: &FaultPlan,
 ) -> FaultOutput {
-    cfg.mix.validate();
     silence_injected_panics();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let phase = Arc::new(AtomicU8::new(PHASE_WARMUP));
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
+    prepare(target, cfg);
+    let phase = AtomicU8::new(PHASE_WARMUP);
+    let stop = AtomicBool::new(false);
+    let totals = Totals::default();
     let start = Instant::now();
     let mut samples: Vec<(u8, usize)> = Vec::new();
     let mut baseline = 0usize;
     let mut end_of_fault = 0usize;
     let mut peak = 0usize;
     std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = stop.clone();
-            let total_ops = total_ops.clone();
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, _) = op_loop(set.as_ref(), &cfg, &stop, t, None, ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
+        spawn_workers(s, target, cfg, &stop, None, &totals, |_| ());
         for v in 0..plan.actor_threads() {
-            let set = target.set.clone();
-            let phase = phase.clone();
+            let phase = &phase;
             let kind = plan.kind;
-            let key_range = cfg.key_range;
             let seed = cfg.seed ^ (v as u64 + 0x0fa7).wrapping_mul(0x9e3779b97f4a7c15);
             std::thread::Builder::new()
                 .name(format!("fault-actor-{v}"))
                 .spawn_scoped(s, move || match kind {
                     FaultKind::ReaderStall => {
-                        stall_actor(set.as_ref(), &phase, key_range, v, PHASE_FAULT)
+                        stall_actor(&target.map, phase, cfg.key_range, v, PHASE_FAULT)
                     }
-                    FaultKind::ThreadDeath => death_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::PanicDuringOp => panic_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::ChurnSpike => churn_actor(set.as_ref(), &phase, key_range, seed),
-                    FaultKind::PreemptionStorm => {
-                        storm_actor(set.as_ref(), &phase, key_range, seed)
-                    }
+                    FaultKind::ThreadDeath => death_actor(target, cfg, phase, seed),
+                    FaultKind::PanicDuringOp => panic_actor(target, cfg, phase, seed),
+                    FaultKind::ChurnSpike => churn_actor(&target.map, phase, cfg.key_range, seed),
+                    FaultKind::PreemptionStorm => storm_actor(target, cfg, phase, seed),
                 })
                 .expect("failed to spawn fault actor");
         }
@@ -396,9 +415,9 @@ pub(crate) fn faults_inner<C: ConcurrentMap<u64, ()> + 'static>(
     let mut drained = residual == 0;
     if !drained && plan.drain_timeout > Duration::ZERO {
         let deadline = Instant::now() + plan.drain_timeout;
-        let mut handle = ConcurrentMap::handle(target.set.as_ref());
+        let mut handle = ConcurrentMap::handle(&target.map);
         loop {
-            ConcurrentMap::flush(target.set.as_ref(), &mut handle);
+            ConcurrentMap::flush(&target.map, &mut handle);
             residual = (target.unreclaimed)();
             if residual == 0 {
                 drained = true;
@@ -417,7 +436,7 @@ pub(crate) fn faults_inner<C: ConcurrentMap<u64, ()> + 'static>(
         end_of_fault,
         residual,
         drained,
-        ops: total_ops.load(Ordering::Relaxed),
+        ops: totals.ops.into_inner(),
         elapsed_secs: elapsed,
         samples,
     }
@@ -515,9 +534,8 @@ pub fn run_fault_scenario(
     // Size the registry for workers + actors + the post-join drain handle.
     // (Actors that churn handles only hold one claim at a time each.)
     let capacity_threads = cfg.threads + actors + 1;
-    let out = with_target(ds, smr, capacity_threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_faults)(cfg, &plan)
-    });
+    let run = FaultRun { cfg, plan: &plan };
+    let out = with_target::<(), _>(ds, smr, capacity_threads, cfg.key_range, cfg.pool, run);
     let bound = robustness_bound(smr, cfg.threads, actors, cfg.pool, out.baseline);
     // Dead victims leak their handles, and with them their block-pool
     // caches; those blocks are pool capacity, not tracked garbage, so the

@@ -14,10 +14,22 @@
 //!   objects, sampled periodically during the run (Figures 10-12b);
 //! * traversal **restarts** are counted for Table 2.
 //!
-//! Two run modes exist: [`run_timed`] (duration-based, like the paper's
-//! `./bench <ds> <seconds> ...`) used by the `scot-bench` binary, and
-//! [`run_fixed_ops`] (fixed operation count) used by the Criterion benches so
-//! that every sample performs a deterministic amount of work.
+//! The run modes:
+//!
+//! * [`run_timed`] — duration-based, like the paper's
+//!   `./bench <ds> <seconds> ...`; what the `scot-bench` binary runs;
+//! * [`run_fixed_ops`] — a fixed operation count per thread, used by the
+//!   Criterion benches so that every sample performs a deterministic amount
+//!   of work;
+//! * [`run_timed_kv`] — the timed mode over [`Payload`] values, whose every
+//!   read is integrity-checked under the guard (`exp cache`);
+//! * [`run_fault_scenario`] and [`run_service_scenario`] — phased runs with
+//!   misbehaving actors (`exp faults`) or per-phase latency histograms
+//!   (`exp service`).
+//!
+//! All of them build their structure × scheme pair at one dispatch point and
+//! run the same worker loop, so every [`RunConfig`] knob means the same thing
+//! on every path (DESIGN.md, "The benchmark harness: one driver").
 //!
 //! The hardware substitution relative to the paper (128-core EPYC + mimalloc
 //! versus whatever machine this crate runs on with the system allocator) is

@@ -1,5 +1,6 @@
 //! Shared phased-run machinery: the phase clock, the phase-waiting helper,
-//! the injected-panic hook and the stalled-reader actor.
+//! the injected-panic hook and the stalled-reader actor.  The phased runners'
+//! workers are the harness's one worker loop ([`crate::workload::drive`]).
 //!
 //! Both phased runners — the fault harness ([`crate::faults`]) and the
 //! service scenario ([`crate::service`]) — drive their worker and actor
@@ -7,8 +8,7 @@
 //! as the clock and the memory-footprint sampler.  This module is the single
 //! copy of that machinery, so the two runners cannot drift apart.
 
-use crate::workload::FastRng;
-use scot::{ConcurrentMap, ConcurrentSet};
+use scot::ConcurrentMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
@@ -134,29 +134,6 @@ pub(crate) fn stall_actor<C: ConcurrentMap<u64, ()>>(
     }
     // Recovery: the guard drops here, releasing whatever the scheme was
     // holding back; the handle drop then releases the slot cleanly.
-}
-
-/// One random set operation through a plain handle (no explicit guard).
-/// Shared by the fault actors that hammer the structure while misbehaving.
-pub(crate) fn do_op<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    handle: &mut <C as ConcurrentMap<u64, ()>>::Handle,
-    rng: &mut FastRng,
-    key_range: u64,
-) {
-    let r = rng.next_u64();
-    let key = r % key_range.max(1);
-    match (r >> 48) % 3 {
-        0 => {
-            ConcurrentSet::contains(set, handle, &key);
-        }
-        1 => {
-            ConcurrentSet::insert(set, handle, key);
-        }
-        _ => {
-            ConcurrentSet::remove(set, handle, &key);
-        }
-    }
 }
 
 #[cfg(test)]

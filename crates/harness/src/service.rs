@@ -33,14 +33,14 @@
 use crate::hist::{OpClass, OpHistograms};
 use crate::phases::{drive_phases, silence_injected_panics, stall_actor, PhaseEvent};
 use crate::workload::{
-    prefill, scan_once, with_target, DsKind, FastRng, Mix, RunConfig, Target, Zipf,
+    prepare, spawn_workers, with_target, DsKind, Mix, Observer, RunConfig, Target, Totals, Visit,
 };
-use scot::{ConcurrentMap, ConcurrentSet, TraversalSnapshot};
+use scot::{ConcurrentMap, TraversalSnapshot};
 use scot_smr::SmrKind;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of service phases (the phase word's stop value).
 pub const NUM_SERVICE_PHASES: usize = 4;
@@ -170,92 +170,87 @@ pub struct ServiceOutput {
     pub ops: u64,
 }
 
-/// The service hot loop: one worker thread's life across all four phases.
+/// The service measurement, as an observer of the harness's one worker loop
+/// ([`crate::workload::drive`]).
 ///
 /// The worker keeps *thread-local* histograms and an op counter, re-reads the
-/// phase word every operation (an uncontended `Acquire` load), and flushes
-/// its locals into the phase's shared accumulator only when the word changes
-/// — so the measurement adds no shared-memory traffic to the hot path.
-fn service_worker<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    phase: &AtomicU8,
-    cfg: &RunConfig,
-    plan: &ServicePlan,
-    thread_idx: usize,
-    ordered: bool,
-    accums: &[PhaseAccum; NUM_SERVICE_PHASES],
-) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(cfg.seed ^ (thread_idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-    let zipf = (plan.zipf_theta > 0.0).then(|| Zipf::new(cfg.key_range.max(1), plan.zipf_theta));
-    let sample_every = plan.sample_every.max(1);
-    let mut my_phase = 0u8;
-    let mut mix = plan.mix_for(my_phase);
-    let mut local = OpHistograms::new();
-    let mut local_ops = 0u64;
-    let mut tick = 0u32;
-    loop {
-        let cur = phase.load(Ordering::Acquire);
-        if cur != my_phase {
+/// phase word every operation (an uncontended `Acquire` load), switches to
+/// the new phase's mix at each edge, and flushes its locals into the phase's
+/// shared accumulator only when the word changes — so the measurement adds no
+/// shared-memory traffic to the hot path.  1-in-`sample_every` operations
+/// are timed.
+struct PhaseObserver<'a> {
+    phase: &'a AtomicU8,
+    plan: &'a ServicePlan,
+    accums: &'a [PhaseAccum; NUM_SERVICE_PHASES],
+    my_phase: u8,
+    local: OpHistograms,
+    local_ops: u64,
+    tick: u32,
+}
+
+impl Observer for PhaseObserver<'_> {
+    fn next_op(&mut self, mix: &mut Mix) -> bool {
+        let cur = self.phase.load(Ordering::Acquire);
+        if cur != self.my_phase {
             // Phase edge: drain the thread-local measurements into the phase
             // that just ended.  This is the only shared-state touch.
-            let acc = &accums[my_phase as usize];
-            acc.hists.lock().unwrap().merge(&local);
-            acc.ops.fetch_add(local_ops, Ordering::Relaxed);
-            local = OpHistograms::new();
-            local_ops = 0;
-            my_phase = cur;
+            let acc = &self.accums[self.my_phase as usize];
+            acc.hists
+                .lock()
+                .expect("another worker panicked while merging")
+                .merge(&self.local);
+            acc.ops.fetch_add(self.local_ops, Ordering::Relaxed);
+            self.local = OpHistograms::new();
+            self.local_ops = 0;
+            self.my_phase = cur;
             if cur as usize >= NUM_SERVICE_PHASES {
-                break;
+                return false;
             }
-            mix = plan.mix_for(my_phase);
+            *mix = self.plan.mix_for(cur);
         }
-        let r = rng.next_u64();
-        let op = ((r >> 48) % 100) as u32;
-        let key = match &zipf {
-            Some(z) => z.key(&mut rng),
-            None => r % cfg.key_range.max(1),
-        };
-        let class = if op < mix.read_pct {
-            OpClass::Get
-        } else if op < mix.read_pct + mix.insert_pct {
-            OpClass::Insert
-        } else if op < mix.read_pct + mix.insert_pct + mix.delete_pct {
-            OpClass::Remove
-        } else {
-            OpClass::Scan
-        };
-        tick = tick.wrapping_add(1);
-        let stamp = tick.is_multiple_of(sample_every);
-        let t0 = stamp.then(Instant::now);
-        match class {
-            OpClass::Get => {
-                ConcurrentSet::contains(set, &mut handle, &key);
-            }
-            OpClass::Insert => {
-                ConcurrentSet::insert(set, &mut handle, key);
-            }
-            OpClass::Remove => {
-                ConcurrentSet::remove(set, &mut handle, &key);
-            }
-            OpClass::Scan => {
-                scan_once(set, &mut handle, key, cfg.scan_len, ordered);
-            }
-        }
-        if let Some(t0) = t0 {
-            local.record(class, t0.elapsed().as_nanos() as u64);
-        }
-        local_ops += 1;
+        self.local_ops += 1;
+        true
+    }
+
+    fn stamp(&mut self) -> bool {
+        self.tick = self.tick.wrapping_add(1);
+        self.tick.is_multiple_of(self.plan.sample_every.max(1))
+    }
+
+    fn record(&mut self, class: OpClass, ns: u64) {
+        self.local.record(class, ns);
     }
 }
 
-/// The phased service runner (monomorphized per structure × scheme via
-/// [`crate::workload::TargetAny`]).
-pub(crate) fn service_inner<C: ConcurrentMap<u64, ()> + 'static>(
+/// [`service_inner`] as the visitor [`crate::workload::with_target`] hands the
+/// structure it builds.
+struct ServiceRun<'a> {
+    cfg: &'a RunConfig,
+    plan: &'a ServicePlan,
+}
+
+impl Visit<()> for ServiceRun<'_> {
+    type Out = ServiceOutput;
+
+    fn visit<C: ConcurrentMap<u64, ()>>(self, target: &Target<C>) -> ServiceOutput {
+        service_inner(target, self.cfg, self.plan)
+    }
+}
+
+/// The phased service runner.
+fn service_inner<C: ConcurrentMap<u64, ()>>(
     target: &Target<C>,
     cfg: &RunConfig,
     plan: &ServicePlan,
 ) -> ServiceOutput {
+    // The workers start in the warmup mix and draw keys with the plan's
+    // skew; every other knob is the run's own.
+    let cfg = &RunConfig {
+        mix: plan.mix_for(0),
+        zipf_theta: plan.zipf_theta,
+        ..cfg.clone()
+    };
     for p in 0..NUM_SERVICE_PHASES {
         plan.mix_for(p as u8).validate();
     }
@@ -263,42 +258,40 @@ pub(crate) fn service_inner<C: ConcurrentMap<u64, ()> + 'static>(
     // (there are none by design, but symmetry with the fault harness is
     // cheap) from spamming if one ever trips.
     silence_injected_panics();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
     let phase = AtomicU8::new(0);
     let accums: [PhaseAccum; NUM_SERVICE_PHASES] = std::array::from_fn(|_| PhaseAccum::new());
-    let baseline: TraversalSnapshot = (target.stats)();
+    let never = AtomicBool::new(false);
+    let totals = Totals::default();
     let mut edge_stats: Vec<TraversalSnapshot> = Vec::with_capacity(NUM_SERVICE_PHASES);
     let mut edge_elapsed: Vec<f64> = Vec::with_capacity(NUM_SERVICE_PHASES);
     let mut peaks = [0usize; NUM_SERVICE_PHASES];
-    let durations = plan.durations();
-    let mut elapsed_secs = 0.0;
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let phase = &phase;
-            let accums = &accums;
-            let ordered = target.ordered;
-            s.spawn(move || {
-                service_worker(set.as_ref(), phase, cfg, plan, t, ordered, accums);
-            });
-        }
+    prepare(target, cfg);
+    let baseline = target.map.traversal_stats();
+    let elapsed_secs = std::thread::scope(|s| {
+        spawn_workers(s, target, cfg, &never, None, &totals, |_| PhaseObserver {
+            phase: &phase,
+            plan,
+            accums: &accums,
+            my_phase: 0,
+            local: OpHistograms::new(),
+            local_ops: 0,
+            tick: 0,
+        });
         for v in 0..plan.stall_victims {
-            let set = target.set.clone();
             let phase = &phase;
-            let key_range = cfg.key_range;
             let stall_at = (NUM_SERVICE_PHASES - 1) as u8;
             std::thread::Builder::new()
                 .name(format!("fault-actor-stall-{v}"))
                 .spawn_scoped(s, move || {
-                    stall_actor(set.as_ref(), phase, key_range, v, stall_at);
+                    stall_actor(&target.map, phase, cfg.key_range, v, stall_at);
                 })
                 .expect("failed to spawn stall actor");
         }
         // The main thread is the phase clock and the footprint sampler —
         // Hyaline included, since the stall phase is a robustness question.
-        elapsed_secs = drive_phases(
+        drive_phases(
             &phase,
-            &durations,
+            &plan.durations(),
             cfg.sample_interval,
             target.unreclaimed.as_ref(),
             |ev| match ev {
@@ -316,11 +309,11 @@ pub(crate) fn service_inner<C: ConcurrentMap<u64, ()> + 'static>(
                 } => {
                     let p = p as usize;
                     peaks[p] = peaks[p].max(unreclaimed);
-                    edge_stats.push((target.stats)());
+                    edge_stats.push(target.map.traversal_stats());
                     edge_elapsed.push(elapsed.as_secs_f64());
                 }
             },
-        );
+        )
     });
     // Every worker flushed its locals when it saw the stop value, and every
     // thread has joined, so the accumulators are complete and unaliased.
@@ -404,9 +397,8 @@ pub fn run_service_scenario(
 ) -> Vec<ServiceReport> {
     // Size the registry for the workers plus the stalled readers.
     let capacity_threads = cfg.threads + plan.stall_victims;
-    let out = with_target(ds, smr, capacity_threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_service)(cfg, plan)
-    });
+    let run = ServiceRun { cfg, plan };
+    let out = with_target::<(), _>(ds, smr, capacity_threads, cfg.key_range, cfg.pool, run);
     let mut reports = Vec::with_capacity(out.phases.len() * OpClass::ALL.len());
     for ph in &out.phases {
         let ops_per_sec = if ph.secs > 0.0 {
@@ -514,6 +506,27 @@ mod tests {
             assert!(p50 > 0, "{name}: zero-ns median is not a real measurement");
         }
         assert!(reports.iter().all(|r| r.is_robust), "HP is robust");
+    }
+
+    #[test]
+    fn batched_pin_service_run_records_gets_under_every_scheme() {
+        let cfg = RunConfig {
+            pin_batch: 16,
+            ..micro_cfg(2)
+        };
+        for smr in SmrKind::ALL {
+            let reports = run_service_scenario(DsKind::ListLf, smr, &cfg, &micro_plan());
+            for name in SERVICE_PHASE_NAMES {
+                let get = reports
+                    .iter()
+                    .find(|r| r.phase == name && r.op_class == "get")
+                    .unwrap();
+                assert!(
+                    get.samples > 0,
+                    "{smr}/{name}: no get samples at pin_batch=16"
+                );
+            }
+        }
     }
 
     #[test]

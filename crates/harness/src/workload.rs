@@ -1,9 +1,10 @@
 //! Workload generator and runner: the Rust counterpart of the C++ benchmark
 //! the paper extends (prefill, timed mixed workload, memory-overhead sampler).
 
+use crate::hist::OpClass;
 use scot::{
-    ConcurrentMap, ConcurrentSet, HarrisList, HarrisMichaelList, HashMap, NmTree, RangeScan,
-    SkipList, TraversalSnapshot, WfHarrisList,
+    ConcurrentMap, HarrisList, HarrisMichaelList, HashMap, NmTree, RangeScan, SkipList,
+    TraversalSnapshot, WfHarrisList,
 };
 use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Nr, Smr, SmrConfig, SmrKind, Vbr};
 use serde::Serialize;
@@ -373,15 +374,19 @@ pub struct RunConfig {
     pub scan_len: u64,
     /// Zipfian skew exponent for key draws: `0.0` (the default) keeps the
     /// paper's uniform draw; any positive value routes keys through the
-    /// rejection-inversion Zipf sampler (`--zipf-theta`; the service preset
-    /// uses ≈0.99).  Ignored by the key-value workloads, which stay uniform.
+    /// rejection-inversion Zipf sampler.  Every runner draws its keys through
+    /// the same op selector, so the membership, key-value and fault
+    /// workloads all honour it; the service scenario runs with its plan's
+    /// skew ([`crate::ServicePlan::zipf_theta`], `--zipf-theta`, ≈0.99).
     pub zipf_theta: f64,
     /// Operations executed under one guard before the worker calls
     /// [`ConcurrentMap::repin`] (`--pin-batch`).  `1` refreshes the critical
     /// section after every operation (the per-op pin/unpin discipline of the
     /// seed harness, minus the full fence when the scheme can elide it);
     /// larger batches amortize the repin across N operations, bounding the
-    /// reclamation delay to one batch instead of one op.  Must be ≥ 1.
+    /// reclamation delay to one batch instead of one op.  Every runner's
+    /// workers honour it; the fault actors keep a fresh pin per operation.
+    /// Must be ≥ 1.
     pub pin_batch: u64,
     /// Backoff policy of the cursor's restart ladder (`--backoff`).
     pub backoff: BackoffMode,
@@ -487,19 +492,6 @@ impl RunResult {
     }
 }
 
-/// Internal: everything the generic runner needs from a concrete structure.
-/// `pub(crate)` so the fault-injection runner ([`crate::faults`]) can drive
-/// the same monomorphized targets.
-pub(crate) struct Target<C> {
-    pub(crate) set: Arc<C>,
-    pub(crate) unreclaimed: Arc<dyn Fn() -> usize + Send + Sync>,
-    pub(crate) stats: Arc<dyn Fn() -> TraversalSnapshot + Send + Sync>,
-    pub(crate) track_memory: bool,
-    /// Whether scans must yield globally ascending keys (see
-    /// [`DsKind::is_ordered`]).
-    pub(crate) ordered: bool,
-}
-
 pub(crate) fn smr_config(kind: SmrKind, threads: usize, pool: bool) -> SmrConfig {
     let mut cfg = SmrConfig::for_threads(threads);
     if matches!(kind, SmrKind::HpOpt | SmrKind::HeOpt | SmrKind::IbrOpt) {
@@ -513,85 +505,177 @@ pub(crate) fn smr_config(kind: SmrKind, threads: usize, pool: bool) -> SmrConfig
 
 /// Number of hash-map buckets used by the harness (a fraction of the key
 /// range, mirroring typical load factors in the artifact's hash-map tests).
-pub(crate) fn hash_buckets(key_range: u64) -> usize {
+fn hash_buckets(key_range: u64) -> usize {
     ((key_range / 16).clamp(16, 65_536)) as usize
 }
 
-/// Wraps a freshly built structure and its domain into the type-erased
-/// target; shared by every arm of [`with_target`]'s dispatch matrix.
-fn make_set_target<C, D>(set: C, domain: Arc<D>, track_memory: bool, ordered: bool) -> TargetAny
-where
-    C: ConcurrentMap<u64, ()>,
-    D: Smr,
-{
-    let set = Arc::new(set);
-    let s = set.clone();
-    TargetAny::from(Target {
-        set,
-        unreclaimed: Arc::new(move || domain.unreclaimed()),
-        stats: Arc::new(move || ConcurrentSet::traversal_stats(&*s)),
-        track_memory,
-        ordered,
-    })
+/// A value type the harness can store: `()` for the paper's membership
+/// workloads, [`crate::Payload`] for the key-value ones.  The one worker
+/// ([`drive`]) and the one op executor ([`exec`]) are written against it.
+pub(crate) trait BenchValue: scot::Value + Sized {
+    /// The value an insert of `key` stores.
+    fn make(key: u64, cfg: &RunConfig) -> Self;
+    /// One point read of `key` (the get class); returns what it feeds the
+    /// black-box sink.
+    fn read<C: ConcurrentMap<u64, Self>>(map: &C, guard: &mut C::Guard<'_>, key: u64) -> u64;
+    /// Checks a value read under the guard for `key` (panicking if it does
+    /// not belong to that key) and returns what it feeds the sink.
+    fn check(&self, key: u64) -> u64;
+    /// What an evicted value feeds the sink.
+    fn sink(&self) -> u64;
 }
 
-/// Builds the requested structure/scheme pair and hands it to `f`.
+impl BenchValue for () {
+    #[inline]
+    fn make(_: u64, _: &RunConfig) -> Self {}
+
+    #[inline]
+    fn read<C: ConcurrentMap<u64, Self>>(map: &C, guard: &mut C::Guard<'_>, key: u64) -> u64 {
+        map.contains(guard, &key);
+        0
+    }
+
+    #[inline]
+    fn check(&self, _: u64) -> u64 {
+        0
+    }
+
+    #[inline]
+    fn sink(&self) -> u64 {
+        0
+    }
+}
+
+/// The per-thread RNG of worker `idx` (the parallel prefill seeds its
+/// inserters the same way).
+fn thread_rng(seed: u64, idx: u64) -> FastRng {
+    FastRng::new(seed ^ (idx + 1).wrapping_mul(0x9e3779b97f4a7c15))
+}
+
+/// The one op selector: maps an RNG draw to `(class, key)`.
+///
+/// One draw per operation, as in the original C++ harness: the high 16 bits
+/// choose the class against the mix and the low bits the key (key ranges
+/// stay far below 2^48, so the two stay independent).  With a Zipfian skew
+/// configured the key comes from the sampler instead, which draws from the
+/// same per-thread RNG, so runs stay repeatable.
+pub(crate) struct OpSelector {
+    key_range: u64,
+    zipf: Option<Zipf>,
+}
+
+impl OpSelector {
+    /// A selector over `cfg.key_range` with `cfg.zipf_theta`'s skew.
+    pub(crate) fn new(cfg: &RunConfig) -> Self {
+        let key_range = cfg.key_range.max(1);
+        Self {
+            key_range,
+            zipf: (cfg.zipf_theta > 0.0).then(|| Zipf::new(key_range, cfg.zipf_theta)),
+        }
+    }
+
+    /// Draws the next operation from `mix`.
+    #[inline]
+    pub(crate) fn next(&self, rng: &mut FastRng, mix: &Mix) -> (OpClass, u64) {
+        let r = rng.next_u64();
+        let op = ((r >> 48) % 100) as u32;
+        let class = if op < mix.read_pct {
+            OpClass::Get
+        } else if op < mix.read_pct + mix.insert_pct {
+            OpClass::Insert
+        } else if op < mix.read_pct + mix.insert_pct + mix.delete_pct {
+            OpClass::Remove
+        } else {
+            OpClass::Scan
+        };
+        let key = match &self.zipf {
+            Some(z) => z.key(rng),
+            None => r % self.key_range,
+        };
+        (class, key)
+    }
+}
+
+/// A structure/scheme pair built by [`with_target`], with what the runners
+/// need to know about it.
+pub(crate) struct Target<C> {
+    pub(crate) map: C,
+    /// The domain's retired-but-unreclaimed count.
+    pub(crate) unreclaimed: Box<dyn Fn() -> usize + Sync>,
+    /// Whether the timed runner samples `unreclaimed` (every scheme but
+    /// Hyaline, as in the paper).
+    pub(crate) track_memory: bool,
+    /// Whether scans must yield globally ascending keys (see
+    /// [`DsKind::is_ordered`]).
+    pub(crate) ordered: bool,
+}
+
+/// A runner, applied to whichever concrete structure [`with_target`] builds.
+pub(crate) trait Visit<V: BenchValue> {
+    /// What the runner returns.
+    type Out;
+    /// Runs against the freshly built target.
+    fn visit<C: ConcurrentMap<u64, V>>(self, target: &Target<C>) -> Self::Out;
+}
+
+/// Builds the requested structure/scheme pair with `V` values and hands it
+/// to the visitor `f`.
 ///
 /// This is the single dispatch point where the (data structure × SMR) matrix
-/// is monomorphized, exactly once for the whole harness.
-pub(crate) fn with_target<R>(
+/// is monomorphized, once per value type for the whole harness.
+pub(crate) fn with_target<V: BenchValue, F: Visit<V>>(
     ds: DsKind,
     smr: SmrKind,
     threads: usize,
     key_range: u64,
     pool: bool,
-    f: impl FnOnce(TargetAny) -> R,
-) -> R {
+    f: F,
+) -> F::Out {
+    fn go<V: BenchValue, C: ConcurrentMap<u64, V>, D: Smr, F: Visit<V>>(
+        f: F,
+        map: C,
+        domain: Arc<D>,
+        ds: DsKind,
+        smr: SmrKind,
+    ) -> F::Out {
+        f.visit(&Target {
+            map,
+            unreclaimed: Box::new(move || domain.unreclaimed()),
+            track_memory: smr != SmrKind::Hyaline,
+            ordered: ds.is_ordered(),
+        })
+    }
+
     macro_rules! build_for_scheme {
-        ($scheme:ty) => {{
+        ($s:ty) => {{
             let cfg = smr_config(smr, threads, pool);
-            let domain = <$scheme as Smr>::new(cfg.clone());
-            let track_memory = smr != SmrKind::Hyaline;
-            let ordered = ds.is_ordered();
-            let target = match ds {
-                DsKind::ListLf => make_set_target(
-                    HarrisList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
+            let d = <$s as Smr>::new(cfg.clone());
+            match ds {
+                DsKind::ListLf => go(f, HarrisList::<u64, $s, V>::new(d.clone()), d, ds, smr),
+                DsKind::ListWf => go(
+                    f,
+                    WfHarrisList::<u64, $s, V>::new(d.clone(), cfg.max_threads),
+                    d,
+                    ds,
+                    smr,
                 ),
-                DsKind::ListWf => make_set_target(
-                    WfHarrisList::<u64, $scheme>::new(domain.clone(), cfg.max_threads),
-                    domain,
-                    track_memory,
-                    ordered,
+                DsKind::HmList => go(
+                    f,
+                    HarrisMichaelList::<u64, $s, V>::new(d.clone()),
+                    d,
+                    ds,
+                    smr,
                 ),
-                DsKind::HmList => make_set_target(
-                    HarrisMichaelList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
+                DsKind::Tree => go(f, NmTree::<u64, $s, V>::new(d.clone()), d, ds, smr),
+                DsKind::HashMap => go(
+                    f,
+                    HashMap::<u64, $s, V>::new(hash_buckets(key_range), d.clone()),
+                    d,
+                    ds,
+                    smr,
                 ),
-                DsKind::Tree => make_set_target(
-                    NmTree::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::HashMap => make_set_target(
-                    HashMap::<u64, $scheme>::new(hash_buckets(key_range), domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-                DsKind::SkipList => make_set_target(
-                    SkipList::<u64, $scheme>::new(domain.clone()),
-                    domain,
-                    track_memory,
-                    ordered,
-                ),
-            };
-            f(target)
+                DsKind::SkipList => go(f, SkipList::<u64, $s, V>::new(d.clone()), d, ds, smr),
+            }
         }};
     }
 
@@ -607,56 +691,6 @@ pub(crate) fn with_target<R>(
     }
 }
 
-/// Raw output of a timed run:
-/// `(ops, elapsed_secs, memory_samples, stats, scanned_keys)`.
-pub(crate) type TimedOutput = (u64, f64, Vec<usize>, TraversalSnapshot, u64);
-/// Raw output of a fixed-ops run: `(ops, elapsed_secs, restarts)`.
-type FixedOutput = (u64, f64, u64);
-/// Boxed timed-run entry point of a monomorphized target.
-type TimedRunner = Box<dyn FnOnce(&RunConfig) -> TimedOutput + Send>;
-/// Boxed fixed-ops entry point of a monomorphized target.
-type FixedRunner = Box<dyn FnOnce(&RunConfig, u64) -> FixedOutput + Send>;
-/// Boxed fault-scenario entry point of a monomorphized target.
-type FaultRunner =
-    Box<dyn FnOnce(&RunConfig, &crate::faults::FaultPlan) -> crate::faults::FaultOutput + Send>;
-/// Boxed service-scenario entry point of a monomorphized target.
-type ServiceRunner = Box<
-    dyn FnOnce(&RunConfig, &crate::service::ServicePlan) -> crate::service::ServiceOutput + Send,
->;
-
-/// Type-erased target: the generic runner functions below are instantiated per
-/// concrete set type through this enum-free trampoline.
-pub(crate) struct TargetAny {
-    pub(crate) run_timed: TimedRunner,
-    pub(crate) run_fixed: FixedRunner,
-    pub(crate) run_faults: FaultRunner,
-    pub(crate) run_service: ServiceRunner,
-}
-
-impl<C> From<Target<C>> for TargetAny
-where
-    C: ConcurrentMap<u64, ()> + 'static,
-{
-    fn from(target: Target<C>) -> Self {
-        let clone = |t: &Target<C>| Target {
-            set: t.set.clone(),
-            unreclaimed: t.unreclaimed.clone(),
-            stats: t.stats.clone(),
-            track_memory: t.track_memory,
-            ordered: t.ordered,
-        };
-        let t2 = clone(&target);
-        let t3 = clone(&target);
-        let t4 = clone(&target);
-        TargetAny {
-            run_timed: Box::new(move |cfg| timed_inner(&target, cfg)),
-            run_fixed: Box::new(move |cfg, ops| fixed_inner(&t2, cfg, ops)),
-            run_faults: Box::new(move |cfg, plan| crate::faults::faults_inner(&t3, cfg, plan)),
-            run_service: Box::new(move |cfg, plan| crate::service::service_inner(&t4, cfg, plan)),
-        }
-    }
-}
-
 /// Prefills the structure with unique keys covering 50% of the key range,
 /// exactly like the paper's benchmark.
 ///
@@ -666,14 +700,19 @@ where
 /// single-threaded prefill dwarfs the measurement itself.  Tiny ranges keep
 /// the deterministic single-threaded fill so the populated key set (every
 /// other key) stays exactly what the small-range figures assume.
-pub(crate) fn prefill<C: ConcurrentSet<u64>>(set: &C, key_range: u64, seed: u64, threads: usize) {
+fn prefill<V: BenchValue, C: ConcurrentMap<u64, V>>(map: &C, cfg: &RunConfig) {
+    let key_range = cfg.key_range;
     let target = (key_range / 2).max(1);
+    let insert = |handle: &mut C::Handle, k: u64| {
+        let mut guard = map.pin(handle);
+        map.insert(&mut guard, k, V::make(k, cfg)).is_ok()
+    };
     if key_range <= 1024 {
-        let mut handle = set.handle();
+        let mut handle = map.handle();
         let mut inserted = 0u64;
         let mut k = 0;
         while inserted < target {
-            if set.insert(&mut handle, k) {
+            if insert(&mut handle, k) {
                 inserted += 1;
             }
             k = (k + 2) % key_range.max(1);
@@ -683,19 +722,19 @@ pub(crate) fn prefill<C: ConcurrentSet<u64>>(set: &C, key_range: u64, seed: u64,
         }
         return;
     }
-    let threads = threads.max(1) as u64;
+    let threads = cfg.threads.max(1) as u64;
     std::thread::scope(|s| {
         for t in 0..threads {
             // Split the insert quota across workers; the remainder goes to
             // worker 0 so the total is exactly `target`.
             let share = target / threads + if t == 0 { target % threads } else { 0 };
+            let insert = &insert;
             s.spawn(move || {
-                let mut handle = set.handle();
-                let mut rng = FastRng::new(seed ^ (t + 1).wrapping_mul(0x9e3779b97f4a7c15));
+                let mut handle = map.handle();
+                let mut rng = thread_rng(cfg.seed, t);
                 let mut inserted = 0u64;
                 while inserted < share {
-                    let k = rng.below(key_range);
-                    if set.insert(&mut handle, k) {
+                    if insert(&mut handle, rng.below(key_range)) {
                         inserted += 1;
                     }
                 }
@@ -704,45 +743,33 @@ pub(crate) fn prefill<C: ConcurrentSet<u64>>(set: &C, key_range: u64, seed: u64,
     });
 }
 
-/// Runs one guard-scoped range scan over `[lo, lo + scan_len)` and returns
-/// the number of keys yielded, verifying the scan's correctness oracle on the
-/// fly: every key in bounds, no duplicates, and (for ordered structures)
-/// strictly ascending.  A violation is a traversal/reclamation bug, so the
-/// harness panics rather than recording garbage throughput.
-pub(crate) fn scan_once<C: ConcurrentMap<u64, ()>>(
-    set: &C,
-    handle: &mut C::Handle,
-    lo: u64,
-    scan_len: u64,
-    ordered: bool,
-) -> u64 {
-    let mut guard = set.pin(handle);
-    scan_once_pinned(set, &mut guard, lo, scan_len, ordered)
-}
-
-/// [`scan_once`] against an already-pinned guard — what the batched op loop
-/// uses so a scan rides the same critical section as the point ops around it.
-pub(crate) fn scan_once_pinned<C: ConcurrentMap<u64, ()>>(
-    set: &C,
+/// One guard-scoped range scan over `[lo, lo + scan_len)`; returns the number
+/// of keys yielded.  The scan's correctness oracle runs on the fly: every key
+/// in bounds, no duplicates, strictly ascending on ordered structures, and
+/// every value checked against its key.  A violation is a
+/// traversal/reclamation bug, so the harness panics rather than recording
+/// garbage throughput.
+fn scan<V: BenchValue, C: ConcurrentMap<u64, V>>(
+    target: &Target<C>,
     guard: &mut C::Guard<'_>,
     lo: u64,
     scan_len: u64,
-    ordered: bool,
+    sink: &mut u64,
 ) -> u64 {
     let hi = lo.saturating_add(scan_len.max(1));
-    let mut scan = set.scan(&mut *guard, lo, Some(hi));
+    let mut scan = target.map.scan(guard, lo, Some(hi));
     let mut prev: Option<u64> = None;
     // Unordered (hash-map) scans: ascending order cannot prove uniqueness, so
     // the yielded keys are collected and dedup-checked after the scan.  The
     // window is at most `scan_len` keys, so this stays cheap.
     let mut seen: Vec<u64> = Vec::new();
     let mut yielded = 0u64;
-    while let Some((k, ())) = scan.next_entry() {
+    while let Some((k, v)) = scan.next_entry() {
         assert!(
             (lo..hi).contains(&k),
             "scan [{lo}, {hi}) yielded out-of-window key {k} — traversal bug"
         );
-        if ordered {
+        if target.ordered {
             assert!(
                 prev.is_none_or(|p| p < k),
                 "scan [{lo}, {hi}) yielded {k} after {prev:?} — ordering bug"
@@ -750,208 +777,259 @@ pub(crate) fn scan_once_pinned<C: ConcurrentMap<u64, ()>>(
         } else {
             seen.push(k);
         }
+        *sink = sink.wrapping_add(v.check(k));
         prev = Some(k);
         yielded += 1;
     }
-    if !ordered {
+    if !target.ordered {
         seen.sort_unstable();
-        let deduped = seen.len();
+        let len = seen.len();
         seen.dedup();
         assert_eq!(
             seen.len(),
-            deduped,
+            len,
             "scan [{lo}, {hi}) yielded duplicate keys — traversal bug"
         );
     }
     yielded
 }
 
-/// The measurement hot loop.  Returns `(ops, scanned_keys)`.
-pub(crate) fn op_loop<C: ConcurrentMap<u64, ()>>(
-    set: &C,
+/// The one op executor: runs `class` on `key` against a pinned guard and
+/// returns the number of keys a scan yielded (0 for point ops).
+#[inline]
+pub(crate) fn exec<V: BenchValue, C: ConcurrentMap<u64, V>>(
+    target: &Target<C>,
+    guard: &mut C::Guard<'_>,
     cfg: &RunConfig,
-    stop: &AtomicBool,
-    thread_idx: usize,
-    max_ops: Option<u64>,
-    ordered: bool,
-) -> (u64, u64) {
-    let mut handle = ConcurrentMap::handle(set);
-    let mut rng = FastRng::new(cfg.seed ^ (thread_idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-    let zipf = (cfg.zipf_theta > 0.0).then(|| Zipf::new(cfg.key_range.max(1), cfg.zipf_theta));
-    let pin_batch = cfg.pin_batch.max(1);
-    let mut ops = 0u64;
-    let mut scanned = 0u64;
-    // One guard held for the whole loop, refreshed in place every `pin_batch`
-    // operations: the guard-entry/exit fences are paid once per batch (and
-    // elided entirely by the epoch/era schemes while the epoch stands still)
-    // instead of once per operation, while reclamation still advances at
-    // every batch edge.
-    let mut guard = set.pin(&mut handle);
-    let mut in_batch = 0u64;
-    loop {
-        if let Some(limit) = max_ops {
-            if ops >= limit {
-                break;
+    class: OpClass,
+    key: u64,
+    sink: &mut u64,
+) -> u64 {
+    let map = &target.map;
+    match class {
+        OpClass::Get => *sink = sink.wrapping_add(V::read(map, guard, key)),
+        OpClass::Insert => {
+            let _ = map.insert(guard, key, V::make(key, cfg));
+        }
+        OpClass::Remove => {
+            // The evicted value is still readable under the guard.
+            if let Some(v) = map.remove(guard, &key) {
+                *sink = sink.wrapping_add(v.sink());
             }
         }
-        // Check the stop flag only every few operations to keep the hot loop
-        // tight, as the original benchmark does.
-        if ops.is_multiple_of(64) && stop.load(Ordering::Relaxed) {
+        OpClass::Scan => return scan(target, guard, key, cfg.scan_len, sink),
+    }
+    0
+}
+
+/// Per-op hooks of [`drive`].  Every hook defaults to a no-op, so the `()`
+/// observer of the throughput runners compiles away.
+pub(crate) trait Observer: Send {
+    /// Called before each operation; may switch the mix (a phase edge).
+    /// Returning `false` ends the run.
+    #[inline]
+    fn next_op(&mut self, _mix: &mut Mix) -> bool {
+        true
+    }
+
+    /// Whether to time the operation about to run.
+    #[inline]
+    fn stamp(&mut self) -> bool {
+        false
+    }
+
+    /// Records a timed operation's latency.
+    #[inline]
+    fn record(&mut self, _class: OpClass, _ns: u64) {}
+}
+
+impl Observer for () {}
+
+/// The one worker loop, shared by every runner.  Returns
+/// `(ops, scanned_keys)`.
+///
+/// One guard is held for the whole loop and refreshed in place every
+/// `cfg.pin_batch` operations: the guard-entry/exit fences are paid once per
+/// batch (and elided entirely by the epoch/era schemes while the epoch
+/// stands still) instead of once per operation, while reclamation still
+/// advances at every batch edge.  The run ends when `stop` is raised
+/// (checked every 64 operations, as the original benchmark does), after
+/// `limit` operations, or when the observer says so.  A timed operation's
+/// stamp is taken before its repin, so it covers pin + op + unpin.
+pub(crate) fn drive<V: BenchValue, C: ConcurrentMap<u64, V>>(
+    target: &Target<C>,
+    cfg: &RunConfig,
+    thread_idx: usize,
+    stop: &AtomicBool,
+    limit: Option<u64>,
+    obs: &mut impl Observer,
+) -> (u64, u64) {
+    let map = &target.map;
+    let mut handle = map.handle();
+    let mut rng = thread_rng(cfg.seed, thread_idx as u64);
+    let select = OpSelector::new(cfg);
+    let mut mix = cfg.mix;
+    let pin_batch = cfg.pin_batch.max(1);
+    let (mut ops, mut scanned, mut in_batch) = (0u64, 0u64, 0u64);
+    // Accumulated so value reads cannot be optimized away.
+    let mut sink = 0u64;
+    let mut guard = map.pin(&mut handle);
+    loop {
+        if limit.is_some_and(|l| ops >= l)
+            || (ops.is_multiple_of(64) && stop.load(Ordering::Relaxed))
+            || !obs.next_op(&mut mix)
+        {
             break;
         }
+        let (class, key) = select.next(&mut rng, &mix);
+        let t0 = obs.stamp().then(Instant::now);
         if in_batch >= pin_batch {
-            set.repin(&mut guard);
+            map.repin(&mut guard);
             in_batch = 0;
         }
-        // One RNG draw per operation, as in the original C++ harness: the low
-        // bits choose the key (key ranges stay far below 2^48) and the high 16
-        // bits choose the operation, so the two stay independent.  With a
-        // Zipfian skew requested, the key comes from the sampler instead (it
-        // draws from the same per-thread RNG, so runs stay repeatable).
-        let r = rng.next_u64();
-        let op = ((r >> 48) % 100) as u32;
-        let key = match &zipf {
-            Some(z) => z.key(&mut rng),
-            None => r % cfg.key_range.max(1),
-        };
-        if op < cfg.mix.read_pct {
-            ConcurrentMap::contains(set, &mut guard, &key);
-        } else if op < cfg.mix.read_pct + cfg.mix.insert_pct {
-            let _ = ConcurrentMap::insert(set, &mut guard, key, ());
-        } else if op < cfg.mix.read_pct + cfg.mix.insert_pct + cfg.mix.delete_pct {
-            ConcurrentMap::remove(set, &mut guard, &key);
-        } else {
-            scanned += scan_once_pinned(set, &mut guard, key, cfg.scan_len, ordered);
+        scanned += exec(target, &mut guard, cfg, class, key, &mut sink);
+        if let Some(t0) = t0 {
+            obs.record(class, t0.elapsed().as_nanos() as u64);
         }
         ops += 1;
         in_batch += 1;
     }
+    drop(guard);
+    std::hint::black_box(sink);
     (ops, scanned)
 }
 
-fn timed_inner<C: ConcurrentMap<u64, ()> + 'static>(
-    target: &Target<C>,
-    cfg: &RunConfig,
-) -> TimedOutput {
-    cfg.mix.validate();
-    cfg.apply_tuning();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let total_scanned = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut samples = Vec::new();
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = stop.clone();
-            let total_ops = total_ops.clone();
-            let total_scanned = total_scanned.clone();
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, scanned) = op_loop(set.as_ref(), &cfg, &stop, t, None, ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-                total_scanned.fetch_add(scanned, Ordering::Relaxed);
-            });
-        }
-        // The main thread doubles as the memory-overhead sampler.
-        let deadline = start + cfg.duration;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if target.track_memory {
-                samples.push((target.unreclaimed)());
-            }
-            std::thread::sleep(cfg.sample_interval.min(deadline - now));
-        }
-        stop.store(true, Ordering::SeqCst);
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        total_ops.load(Ordering::Relaxed),
-        elapsed,
-        samples,
-        (target.stats)(),
-        total_scanned.load(Ordering::Relaxed),
-    )
+/// Op and scanned-key counts summed over a run's workers.
+#[derive(Default)]
+pub(crate) struct Totals {
+    pub(crate) ops: AtomicU64,
+    pub(crate) scanned: AtomicU64,
 }
 
-fn fixed_inner<C: ConcurrentMap<u64, ()> + 'static>(
+/// The setup every runner shares before it starts workers: validates the
+/// mix, applies the run's cursor tuning and prefills the structure.
+pub(crate) fn prepare<V: BenchValue, C: ConcurrentMap<u64, V>>(
     target: &Target<C>,
     cfg: &RunConfig,
-    ops_per_thread: u64,
-) -> FixedOutput {
+) {
     cfg.mix.validate();
     cfg.apply_tuning();
-    prefill(target.set.as_ref(), cfg.key_range, cfg.seed, cfg.threads);
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..cfg.threads {
-            let set = target.set.clone();
-            let stop = &stop;
-            let total_ops = &total_ops;
-            let ordered = target.ordered;
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let (ops, _) = op_loop(set.as_ref(), &cfg, stop, t, Some(ops_per_thread), ordered);
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        total_ops.load(Ordering::Relaxed),
-        elapsed,
-        (target.stats)().restarts,
-    )
+    prefill(&target.map, cfg);
 }
 
-/// Collapses a memory-overhead sample series into `(average, peak)`.
-pub(crate) fn summarize_samples(samples: &[usize]) -> (Option<f64>, Option<usize>) {
-    if samples.is_empty() {
-        (None, None)
-    } else {
-        let sum: usize = samples.iter().sum();
-        (
-            Some(sum as f64 / samples.len() as f64),
-            samples.iter().copied().max(),
-        )
+/// Spawns `cfg.threads` [`drive`] workers on `s`, each with the observer
+/// `observer(thread_idx)` builds, summing their counts into `totals`.
+pub(crate) fn spawn_workers<'scope, 'env, V, C, O>(
+    s: &'scope std::thread::Scope<'scope, 'env>,
+    target: &'env Target<C>,
+    cfg: &'env RunConfig,
+    stop: &'env AtomicBool,
+    limit: Option<u64>,
+    totals: &'env Totals,
+    observer: impl Fn(usize) -> O,
+) where
+    V: BenchValue,
+    C: ConcurrentMap<u64, V>,
+    O: Observer + 'scope,
+{
+    for t in 0..cfg.threads {
+        let mut obs = observer(t);
+        s.spawn(move || {
+            let (ops, scanned) = drive(target, cfg, t, stop, limit, &mut obs);
+            totals.ops.fetch_add(ops, Ordering::Relaxed);
+            totals.scanned.fetch_add(scanned, Ordering::Relaxed);
+        });
+    }
+}
+
+/// Raw output of a timed run.
+struct Measured {
+    ops: u64,
+    elapsed: f64,
+    samples: Vec<usize>,
+    stats: TraversalSnapshot,
+    scanned: u64,
+}
+
+/// The timed runner: `cfg.threads` workers run for `cfg.duration` while the
+/// main thread samples the memory overhead — or, with an op `limit`, until
+/// every worker has run that many operations (no sampling).
+struct Timed<'a> {
+    cfg: &'a RunConfig,
+    limit: Option<u64>,
+}
+
+impl<V: BenchValue> Visit<V> for Timed<'_> {
+    type Out = Measured;
+
+    fn visit<C: ConcurrentMap<u64, V>>(self, target: &Target<C>) -> Measured {
+        let cfg = self.cfg;
+        let stop = AtomicBool::new(false);
+        let totals = Totals::default();
+        let mut samples = Vec::new();
+        prepare(target, cfg);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            spawn_workers(s, target, cfg, &stop, self.limit, &totals, |_| ());
+            if self.limit.is_some() {
+                return;
+            }
+            // The main thread doubles as the memory-overhead sampler.
+            let deadline = start + cfg.duration;
+            loop {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                if target.track_memory {
+                    samples.push((target.unreclaimed)());
+                }
+                std::thread::sleep(cfg.sample_interval.min(deadline - now));
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        Measured {
+            ops: totals.ops.into_inner(),
+            elapsed: start.elapsed().as_secs_f64(),
+            samples,
+            stats: target.map.traversal_stats(),
+            scanned: totals.scanned.into_inner(),
+        }
+    }
+}
+
+/// [`run_timed`] over `V` values: the runner behind both the membership and
+/// the key-value timed workloads.
+pub(crate) fn run_timed_as<V: BenchValue>(ds: DsKind, smr: SmrKind, cfg: &RunConfig) -> RunResult {
+    let timed = Timed { cfg, limit: None };
+    let m = with_target::<V, _>(ds, smr, cfg.threads, cfg.key_range, cfg.pool, timed);
+    RunResult {
+        ds: ds.name().to_string(),
+        smr: smr.name().to_string(),
+        threads: cfg.threads,
+        key_range: cfg.key_range,
+        ops: m.ops,
+        ops_per_sec: m.ops as f64 / m.elapsed,
+        avg_unreclaimed: (!m.samples.is_empty())
+            .then(|| m.samples.iter().sum::<usize>() as f64 / m.samples.len() as f64),
+        max_unreclaimed: m.samples.iter().copied().max(),
+        restarts: m.stats.restarts,
+        recoveries: m.stats.recoveries,
+        spins: m.stats.spins,
+        scan_len: if cfg.mix.scan_pct > 0 {
+            cfg.scan_len
+        } else {
+            0
+        },
+        scanned_keys: m.scanned,
+        elapsed_secs: m.elapsed,
     }
 }
 
 /// Runs a timed workload (the paper's main measurement mode) and returns the
 /// numbers behind one figure point.
 pub fn run_timed(ds: DsKind, smr: SmrKind, cfg: &RunConfig) -> RunResult {
-    let (ops, elapsed, samples, stats, scanned_keys) =
-        with_target(ds, smr, cfg.threads, cfg.key_range, cfg.pool, |t| {
-            (t.run_timed)(cfg)
-        });
-    let (avg, max) = summarize_samples(&samples);
-    RunResult {
-        ds: ds.name().to_string(),
-        smr: smr.name().to_string(),
-        threads: cfg.threads,
-        key_range: cfg.key_range,
-        ops,
-        ops_per_sec: ops as f64 / elapsed,
-        avg_unreclaimed: avg,
-        max_unreclaimed: max,
-        restarts: stats.restarts,
-        recoveries: stats.recoveries,
-        spins: stats.spins,
-        scan_len: if cfg.mix.scan_pct > 0 {
-            cfg.scan_len
-        } else {
-            0
-        },
-        scanned_keys,
-        elapsed_secs: elapsed,
-    }
+    run_timed_as::<()>(ds, smr, cfg)
 }
 
 /// Runs a fixed number of operations per thread and returns
@@ -962,9 +1040,12 @@ pub fn run_fixed_ops(
     cfg: &RunConfig,
     ops_per_thread: u64,
 ) -> (u64, f64, u64) {
-    with_target(ds, smr, cfg.threads, cfg.key_range, cfg.pool, |t| {
-        (t.run_fixed)(cfg, ops_per_thread)
-    })
+    let fixed = Timed {
+        cfg,
+        limit: Some(ops_per_thread),
+    };
+    let m = with_target::<(), _>(ds, smr, cfg.threads, cfg.key_range, cfg.pool, fixed);
+    (m.ops, m.elapsed, m.stats.restarts)
 }
 
 #[cfg(test)]
@@ -1166,6 +1247,54 @@ mod tests {
         cfg.zipf_theta = 0.99;
         let r = run_timed(DsKind::ListLf, SmrKind::Hp, &cfg);
         assert!(r.ops > 0, "zipfian run completed no operations");
+    }
+
+    #[test]
+    fn op_selector_follows_the_mix_and_the_key_draw() {
+        let mix = Mix {
+            read_pct: 40,
+            insert_pct: 20,
+            delete_pct: 15,
+            scan_pct: 25,
+        };
+        let n = 100_000u64;
+        let draw = |theta: f64| {
+            let cfg = RunConfig {
+                mix,
+                zipf_theta: theta,
+                ..RunConfig::paper_default(1, 1000)
+            };
+            let select = OpSelector::new(&cfg);
+            let mut rng = FastRng::new(0x5e1);
+            let mut mirror = rng.clone();
+            let mut classes = [0u64; 4];
+            let mut keys = vec![0u64; 1000];
+            for _ in 0..n {
+                let r = mirror.next_u64();
+                let (class, key) = select.next(&mut rng, &mix);
+                if theta == 0.0 {
+                    assert_eq!(key, r % 1000, "theta = 0 must draw r % key_range");
+                }
+                classes[class as usize] += 1;
+                keys[key as usize] += 1;
+            }
+            (classes, keys.into_iter().max().unwrap())
+        };
+        let want = [mix.read_pct, mix.insert_pct, mix.delete_pct, mix.scan_pct];
+        for theta in [0.0, 0.99] {
+            let (classes, _) = draw(theta);
+            for ((class, &got), &pct) in OpClass::ALL.iter().zip(&classes).zip(&want) {
+                let got_pct = 100.0 * got as f64 / n as f64;
+                assert!(
+                    (got_pct - f64::from(pct)).abs() <= 2.0,
+                    "theta={theta} {class}: drew {got_pct:.2}%, mix says {pct}%"
+                );
+            }
+        }
+        // The skew reaches the key: the hottest of 1000 keys draws ~1/1000
+        // of a uniform stream but over 5% of a theta=0.99 one.
+        assert!(draw(0.0).1 < n / 200);
+        assert!(draw(0.99).1 > n / 20);
     }
 
     #[test]
