@@ -593,8 +593,8 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
         stderr(&out)
     );
     let text = stdout(&out);
-    // Every arm label appears for at least one scheme...
-    for arm in ["+base", "+repin", "+prefetch", "+backoff", "+batch", "+all"] {
+    // Both arm labels appear for at least one scheme...
+    for arm in ["+base", "+repin"] {
         assert!(
             text.contains(&format!("EBR{arm}")),
             "cursor output missing arm {arm}:\n{text}"
@@ -602,12 +602,12 @@ fn exp_cursor_renders_ablation_arms_and_deltas() {
     }
     // ...both structures are swept, and the delta table renders.
     assert!(text.contains("SkipList") && text.contains("NMTree"));
-    for col in ["base ops/s", "+repin", "spins(all)"] {
+    for col in ["base ops/s", "+repin", "restarts(+repin)", "spins"] {
         assert!(text.contains(col), "cursor table missing {col}:\n{text}");
     }
     let body = std::fs::read_to_string(bench.artifact("cursor"))
         .expect("exp cursor must write BENCH_cursor.json");
-    assert!(body.contains("\"EBR+all\"") && body.contains("\"VBR+base\""));
+    assert!(body.contains("\"EBR+repin\"") && body.contains("\"VBR+base\""));
 }
 
 #[test]
@@ -624,10 +624,6 @@ fn run_arm_accepts_tuning_flags_anywhere() {
         "EBR",
         "--pin-batch",
         "16",
-        "--backoff",
-        "none",
-        "--no-prefetch",
-        "--no-chain-batch",
     ]);
     assert!(out.status.success(), "run must exit 0: {}", stderr(&out));
     let text = stdout(&out);
@@ -658,26 +654,19 @@ fn run_arm_rejects_zero_pin_batch() {
 }
 
 #[test]
-fn run_arm_rejects_unknown_backoff_mode() {
+fn exp_arm_rejects_zero_runs() {
     let out = scot_bench(&[
-        "run",
-        "listlf",
-        "0.05",
-        "64",
+        "exp",
+        "tab2",
+        "--runs",
+        "0",
+        "--seconds",
+        "0.01",
+        "--threads",
         "1",
-        "50",
-        "25",
-        "25",
-        "EBR",
-        "--backoff",
-        "frantic",
     ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(
-        err.contains("unknown backoff mode") && err.contains("bounded"),
-        "error must name the bad mode and list the known ones:\n{err}"
-    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("--runs must be at least 1"));
 }
 
 #[test]

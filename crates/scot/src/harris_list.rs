@@ -767,6 +767,97 @@ mod tests {
         }
     }
 
+    mod chain_unlink {
+        use super::cfg;
+        use crate::traverse::MARK;
+        use crate::{ConcurrentMap, HarrisList};
+        use scot_smr::{Ebr, He, Hp, Hyaline, Ibr, Nbr, Smr, SmrConfig, Vbr};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// A value that counts its own drops, per key, in a shared tally.  Its
+        /// clones (what `collect` hands out) do not count.
+        struct Tally(u64, Option<Arc<[AtomicUsize; 6]>>);
+
+        impl Clone for Tally {
+            fn clone(&self) -> Self {
+                Tally(self.0, None)
+            }
+        }
+
+        impl Drop for Tally {
+            fn drop(&mut self) {
+                if let Some(drops) = &self.1 {
+                    drops[self.0 as usize].fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+
+        /// Single-threaded removes unlink at once, so no other test meets a
+        /// marked chain longer than one node.  Here nodes 2–4 of the list 1..=5
+        /// are marked by hand; one cleanup seek (`remove(&5)`) must unlink the
+        /// three-node chain with one CAS and retire each node exactly once.
+        fn multi_node_chain_unlink<S: Smr>(snapshot_scan: bool) {
+            let drops: Arc<[AtomicUsize; 6]> = Arc::default();
+            let list: HarrisList<u64, S, Tally> = HarrisList::with_config(SmrConfig {
+                snapshot_scan,
+                ..cfg()
+            });
+            let name = list.domain().name();
+            let mut h = list.handle();
+            for k in 1..=5u64 {
+                let mut g = list.pin(&mut h);
+                assert!(list
+                    .insert(&mut g, k, Tally(k, Some(drops.clone())))
+                    .is_ok());
+            }
+            let mut cur = list.head.load(Ordering::Acquire);
+            while !cur.is_null() {
+                // SAFETY: single-threaded and nothing retired yet, so every node
+                // reachable from the head is live.
+                let node = unsafe { cur.deref() };
+                let next = node.next.load(Ordering::Acquire);
+                if (2..=4).contains(&node.key) {
+                    node.next
+                        .compare_exchange(
+                            next,
+                            next.with_tag(MARK),
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .unwrap();
+                }
+                cur = next.untagged();
+            }
+            {
+                let mut g = list.pin(&mut h);
+                assert_eq!(list.remove(&mut g, &5).map(|v| v.0), Some(5), "{name}");
+            }
+            let keys: Vec<u64> = list.collect(&mut h).iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, vec![1], "{name}");
+            assert_eq!(list.restarts(), 0, "{name}");
+            for _ in 0..4 {
+                h.flush();
+            }
+            let counts: Vec<usize> = drops.iter().map(|d| d.load(Ordering::SeqCst)).collect();
+            assert_eq!(counts, vec![0, 0, 1, 1, 1, 1], "{name}: drops per key");
+            assert_eq!(list.domain().unreclaimed(), 0, "{name}");
+        }
+
+        #[test]
+        fn multi_node_marked_chain_is_unlinked_and_retired_once_per_node() {
+            for snapshot_scan in [false, true] {
+                multi_node_chain_unlink::<Ebr>(snapshot_scan);
+                multi_node_chain_unlink::<Hp>(snapshot_scan);
+                multi_node_chain_unlink::<He>(snapshot_scan);
+                multi_node_chain_unlink::<Ibr>(snapshot_scan);
+                multi_node_chain_unlink::<Hyaline>(snapshot_scan);
+                multi_node_chain_unlink::<Nbr>(snapshot_scan);
+                multi_node_chain_unlink::<Vbr>(snapshot_scan);
+            }
+        }
+    }
+
     #[test]
     fn restart_counter_stays_zero_single_threaded() {
         let list: HarrisList<u64, Hp> = HarrisList::with_config(cfg());

@@ -61,7 +61,6 @@ pub mod nm_tree;
 pub mod skip_list;
 pub mod slots;
 pub mod traverse;
-pub mod tuning;
 pub mod wait_free;
 
 pub use harris_list::HarrisList;

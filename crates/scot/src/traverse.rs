@@ -164,8 +164,8 @@ pub struct TraversalSnapshot {
     pub recoveries: u64,
     /// Dangerous-zone entries (marked-chain traversals begun).
     pub zone_entries: u64,
-    /// Backoff spin iterations waited before retries (0 when backoff is
-    /// disabled through [`crate::tuning::set_backoff`]).
+    /// Backoff spin iterations waited before retries (the cursor's bounded
+    /// exponential backoff after a failed CAS or a restart-ladder climb).
     pub spins: u64,
 }
 
@@ -214,9 +214,6 @@ pub(crate) unsafe fn validate_link<T>(link: Link<T>, expected: Shared<T>) -> boo
 /// address.
 #[inline(always)]
 fn prefetch_next<N>(next: Shared<N>) {
-    if !crate::tuning::prefetch_enabled() {
-        return;
-    }
     let ptr = next.untagged().as_ptr();
     if ptr.is_null() {
         return;
@@ -261,13 +258,9 @@ std::thread_local! {
 /// restart-ladder climb), recording the spin count into `stats`.  Under
 /// contention storms every thread otherwise re-enters the same contended
 /// neighborhood in lockstep and fails again; staggered waits let one winner
-/// finish per round.  No-op when disabled through
-/// [`crate::tuning::set_backoff`].
+/// finish per round.
 #[inline]
 fn backoff(stats: &TraversalStats) {
-    if !crate::tuning::backoff_enabled() {
-        return;
-    }
     let spins = BACKOFF_SHIFT.with(|s| {
         let shift = s.get();
         s.set((shift + 1).min(BACKOFF_MAX_SHIFT));
@@ -815,49 +808,16 @@ impl<'t, K: Ord + Copy, N: SlotNode<K>> Cursor<'t, K, N> {
             return Err(self.climb(g));
         }
         if retire {
-            if crate::tuning::chain_batch_enabled() {
-                // Hand the scheme whole chain segments through `retire_batch`
-                // so the domain's retire bookkeeping (one vault mutex per
-                // batch) is paid once per chunk instead of once per node.
-                // The chunk buffer lives on the stack — no allocation on the
-                // unlink path.
-                const CHUNK: usize = 16;
-                let mut buf = [Shared::null(); CHUNK];
-                let mut n = 0;
-                let mut cur = self.chain;
-                while cur != self.curr {
-                    debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
-                    // SAFETY: we won the unlink CAS, so this thread
-                    // exclusively owns every node of the chain; the successor
-                    // links of unlinked nodes are no longer written by anyone.
-                    let next = unsafe { cur.deref().successor(self.level).load(Ordering::Acquire) };
-                    buf[n] = cur;
-                    n += 1;
-                    if n == CHUNK {
-                        // SAFETY: the unlink winner is the unique retirer of
-                        // each chain node, and each appears in the batch once.
-                        unsafe { g.retire_batch(&buf[..n]) };
-                        n = 0;
-                    }
+            let mut cur = self.chain;
+            while cur != self.curr {
+                debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
+                // SAFETY: we won the unlink CAS, so this thread exclusively
+                // owns (and retires) every node of the chain; the successor
+                // links of unlinked nodes are no longer written by anyone.
+                unsafe {
+                    let next = cur.deref().successor(self.level).load(Ordering::Acquire);
+                    g.retire(cur);
                     cur = next.untagged();
-                }
-                if n > 0 {
-                    // SAFETY: as above — unique retirer, no duplicates.
-                    unsafe { g.retire_batch(&buf[..n]) };
-                }
-            } else {
-                let mut cur = self.chain;
-                while cur != self.curr {
-                    debug_assert!(!cur.is_null(), "marked chain must end at `curr`");
-                    // SAFETY: we won the unlink CAS, so this thread
-                    // exclusively owns (and retires) every node of the chain;
-                    // the successor links of unlinked nodes are no longer
-                    // written by anyone.
-                    unsafe {
-                        let next = cur.deref().successor(self.level).load(Ordering::Acquire);
-                        g.retire(cur);
-                        cur = next.untagged();
-                    }
                 }
             }
         }
@@ -1045,7 +1005,6 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_resets() {
-        let _serial = crate::tuning::TEST_TOGGLE_LOCK.lock().unwrap();
         let stats = TraversalStats::default();
         // Fresh thread-local state on this test thread: consecutive failures
         // double the wait up to the cap.
@@ -1057,11 +1016,6 @@ mod tests {
         backoff_reset();
         backoff(&stats);
         assert_eq!(stats.spins(), 192, "reset restarts the ladder at 1 spin");
-        backoff_reset();
-        crate::tuning::set_backoff(false);
-        backoff(&stats);
-        assert_eq!(stats.spins(), 192, "disabled backoff is a strict no-op");
-        crate::tuning::set_backoff(true);
     }
 
     #[test]

@@ -237,8 +237,21 @@ impl SmrGuard for EbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        // ORDERING: Relaxed — per-location coherence keeps the epoch read no
+        // older than the announcement made at `pin` (re-read there with
+        // SeqCst), which is all the `retire + 2 <= global` comparison needs,
+        // and the stamp itself is published to sweepers through the vault
+        // mutex.
+        let epoch = d.global_epoch.load(Ordering::Relaxed);
         // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), ptr, Some(epoch)) };
+        if pending >= d.core.config.scan_threshold {
+            // Amortized reclamation: one epoch-advance attempt plus a sweep of
+            // the local vault per `scan_threshold` retirements (§5).
+            handle.flush();
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -266,32 +279,6 @@ impl SmrGuard for EbrGuard<'_> {
                 break e;
             }
         };
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the per-node retire contract.
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        // ORDERING: Relaxed — per-location coherence keeps the epoch read no
-        // older than the announcement made at `pin` (re-read there with
-        // SeqCst), which is all the `retire + 2 <= global` comparison needs,
-        // and the stamp itself is published to sweepers through the vault
-        // mutex.
-        let epoch = d.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: forwarded — the caller guarantees the retire contract for
-        // every element of the batch.
-        let pending = unsafe {
-            d.limbo
-                .push(&d.core, handle.core.index(), batch, Some(epoch))
-        };
-        if pending >= d.core.config.scan_threshold {
-            // Amortized reclamation: one epoch-advance attempt plus a sweep of
-            // the local vault per `scan_threshold` retirements (§5).
-            handle.flush();
-        }
     }
 }
 

@@ -338,8 +338,14 @@ impl SmrGuard for HpGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        // SAFETY: forwarded — the caller guarantees the retire contract.  HP
+        // needs no retire stamp.
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), ptr, None) };
+        if pending >= d.core.config.scan_threshold {
+            handle.flush();
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -355,22 +361,6 @@ impl SmrGuard for HpGuard<'_> {
     #[inline]
     fn repin(&mut self) {
         self.unpublish();
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        // SAFETY: forwarded — the caller guarantees the retire contract for
-        // every element of the batch.  HP needs no retire stamp.
-        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, None) };
-        if pending >= d.core.config.scan_threshold {
-            handle.flush();
-        }
     }
 }
 

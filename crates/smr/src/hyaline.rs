@@ -622,8 +622,30 @@ impl SmrGuard for HyalineGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
-        // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        let idx = handle.core.index();
+        let value = ptr.untagged().as_ptr();
+        debug_assert!(!value.is_null());
+        // SAFETY: the caller guarantees `ptr` came from `alloc` on this
+        // domain and is already unlinked, so its block header is live.
+        let hdr = unsafe { header_of(value) };
+        // SAFETY: header valid as above.
+        // ORDERING: Relaxed read — the stamp was written before the pointer
+        // was published, and unlink + retire on this thread ordered us after
+        // any concurrent refresh; the value only feeds the conservative
+        // `min_birth` minimum.
+        let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
+        let full = {
+            let mut vault = d.vaults[idx].lock();
+            vault.min_birth = vault.min_birth.min(birth);
+            vault.nodes.push(hdr);
+            vault.nodes.len() >= d.batch_capacity
+        };
+        d.core.unreclaimed.add(idx, 1);
+        if full {
+            d.flush_vault(idx, idx, &mut handle.core.pool);
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -678,45 +700,6 @@ impl SmrGuard for HyalineGuard<'_> {
         let prev = slot.head.fetch_add(REF_ONE, Ordering::AcqRel);
         let (_, entry_addr) = unpack(prev);
         self.entry_addr = entry_addr;
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        let idx = handle.core.index();
-        let full = {
-            let mut vault = d.vaults[idx].lock();
-            vault.nodes.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees every element came from
-                // `alloc` on this domain and is already unlinked, so each
-                // block header is live.
-                let hdr = unsafe { header_of(value) };
-                // SAFETY: header valid as above.
-                // ORDERING: Relaxed read — the stamp was written before the
-                // pointer was published, and unlink + retire on this thread
-                // ordered us after any concurrent refresh; the value only
-                // feeds the conservative `min_birth` minimum.
-                let birth = unsafe { (*hdr).birth_era.load(Ordering::Relaxed) };
-                vault.min_birth = vault.min_birth.min(birth);
-                vault.nodes.push(hdr);
-            }
-            vault.nodes.len() >= d.batch_capacity
-        };
-        d.core.unreclaimed.add(idx, batch.len());
-        if full {
-            // One oversized push is fine: the batch carries *at least* one
-            // linkage node per slot, and the vault mutex was touched once for
-            // the whole batch instead of once per node.
-            d.flush_vault(idx, idx, &mut handle.core.pool);
-        }
     }
 }
 

@@ -300,8 +300,24 @@ impl SmrGuard for IbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        // ORDERING: a Relaxed era read here can only lag the true era, which
+        // stamps the retirement conservatively *early* — never unsafe, at
+        // worst it delays reclamation by one interval check.  The stamp is
+        // published to sweepers by the vault mutex.
+        let era = d.global_era.load(Ordering::Relaxed);
         // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), ptr, Some(era)) };
+        // Era cadence: one bump per `epoch_freq` retirements.
+        handle.retire_count += 1;
+        if handle.retire_count >= d.core.config.epoch_freq() {
+            d.global_era.fetch_add(1, Ordering::SeqCst);
+            handle.retire_count = 0;
+        }
+        if pending >= d.core.config.scan_threshold {
+            handle.flush();
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -329,36 +345,6 @@ impl SmrGuard for IbrGuard<'_> {
         slot.lower.store(era, Ordering::SeqCst);
         self.cached_upper = era;
         self.cached_lower = era;
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        // ORDERING: a Relaxed era read here can only lag the true era, which
-        // stamps the retirement conservatively *early* — never unsafe, at
-        // worst it delays reclamation by one interval check.  The stamp is
-        // published to sweepers by the vault mutex.
-        let era = d.global_era.load(Ordering::Relaxed);
-        // SAFETY: forwarded — the caller guarantees the retire contract for
-        // every element of the batch.
-        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, Some(era)) };
-        // Era cadence: one bump per `epoch_freq` retirements, however they
-        // were batched (no division on the common no-bump path).
-        let freq = d.core.config.epoch_freq();
-        handle.retire_count += batch.len();
-        if handle.retire_count >= freq {
-            d.global_era
-                .fetch_add((handle.retire_count / freq) as u64, Ordering::SeqCst);
-            handle.retire_count %= freq;
-        }
-        if pending >= d.core.config.scan_threshold {
-            handle.flush();
-        }
     }
 }
 

@@ -579,25 +579,6 @@ pub trait SmrGuard {
     /// any guard-scoped `&V` borrows).
     #[inline]
     fn repin(&mut self) {}
-
-    /// Retires a batch of unlinked nodes in one call — the fast path for
-    /// churn-heavy workloads (a traversal unlinking a whole marked chain
-    /// retires every node of the chain at once).  Scheme overrides take the
-    /// domain's retire-vault mutex **once per batch** instead of once per
-    /// node and run the amortized era/scan bookkeeping once; the default
-    /// simply loops over [`SmrGuard::retire`].
-    ///
-    /// # Safety
-    /// Every pointer in `batch` must individually satisfy the
-    /// [`SmrGuard::retire`] contract: produced by [`SmrGuard::alloc`] on this
-    /// domain, physically unlinked, and retired exactly once.
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        for &ptr in batch {
-            // SAFETY: forwarded — the caller guarantees the per-node retire
-            // contract for every element of the batch.
-            unsafe { self.retire(ptr) };
-        }
-    }
 }
 
 /// Result of [`drain_with_timeout`].

@@ -312,8 +312,19 @@ impl SmrGuard for NbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        // ORDERING: a Relaxed era read can only lag the true era, stamping
+        // the retirement conservatively early — at worst it delays
+        // reclamation by one sweep; the stamp is published to sweepers by
+        // the vault mutex.
+        let era = d.global_era.load(Ordering::Relaxed);
         // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), ptr, Some(era)) };
+        let threshold = d.core.config.scan_threshold;
+        if pending >= threshold {
+            handle.scan(threshold);
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -348,28 +359,6 @@ impl SmrGuard for NbrGuard<'_> {
             return;
         }
         self.handle.announce_checkpoint();
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        // ORDERING: a Relaxed era read can only lag the true era, stamping
-        // the retirement conservatively early — at worst it delays
-        // reclamation by one sweep; the stamp is published to sweepers by
-        // the vault mutex.
-        let era = d.global_era.load(Ordering::Relaxed);
-        // SAFETY: forwarded — the caller guarantees the retire contract for
-        // every element of the batch.
-        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), batch, Some(era)) };
-        let threshold = d.core.config.scan_threshold;
-        if pending >= threshold {
-            handle.scan(threshold);
-        }
     }
 }
 

@@ -139,42 +139,39 @@ impl Limbo {
         }
     }
 
-    /// Pushes `batch` into `slot`'s vault under one lock, stamping each
-    /// block's retire era with `retire_era` when the scheme has one, and
-    /// credits the slot's counter shard.  Returns the vault's length, which
-    /// the caller compares against its scan threshold.
+    /// Pushes `ptr` into `slot`'s vault, stamping the block's retire era
+    /// with `retire_era` when the scheme has one, and credits the slot's
+    /// counter shard.  Returns the vault's length, which the caller compares
+    /// against its scan threshold.
     ///
     /// # Safety
-    /// Every pointer in `batch` came from `alloc` on this domain, is
-    /// physically unlinked, and is retired exactly once.
+    /// `ptr` came from `alloc` on this domain, is physically unlinked, and is
+    /// retired exactly once.
     pub(crate) unsafe fn push<T>(
         &self,
         core: &DomainCore,
         slot: usize,
-        batch: &[Shared<T>],
+        ptr: Shared<T>,
         retire_era: Option<u64>,
     ) -> usize {
+        let value = ptr.untagged().as_ptr();
+        debug_assert!(!value.is_null());
+        // SAFETY: the caller guarantees the pointer came from `alloc` on this
+        // domain and is unlinked, so its header is live.
+        let retired = unsafe { Retired::from_value(value) };
         let pending = {
             let mut vault = self.vaults[slot].lock();
-            vault.reserve(batch.len());
-            for &ptr in batch {
-                let value = ptr.untagged().as_ptr();
-                debug_assert!(!value.is_null());
-                // SAFETY: the caller guarantees the pointer came from `alloc`
-                // on this domain and is unlinked, so its header is live.
-                let retired = unsafe { Retired::from_value(value) };
-                if let Some(era) = retire_era {
-                    // SAFETY: the block is unlinked but not yet in any vault;
-                    // this thread has exclusive access to its header stamp.
-                    // ORDERING: Relaxed — the stamp reaches sweepers through
-                    // the vault mutex held here.
-                    unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
-                }
-                vault.push(retired);
+            if let Some(era) = retire_era {
+                // SAFETY: the block is unlinked but not yet in any vault;
+                // this thread has exclusive access to its header stamp.
+                // ORDERING: Relaxed — the stamp reaches sweepers through the
+                // vault mutex held here.
+                unsafe { (*retired.hdr).retire_era.store(era, Ordering::Relaxed) };
             }
+            vault.push(retired);
             vault.len()
         };
-        core.unreclaimed.add(slot, batch.len());
+        core.unreclaimed.add(slot, 1);
         pending
     }
 

@@ -298,8 +298,28 @@ impl SmrGuard for VbrGuard<'_> {
 
     // SAFETY: callers must guarantee `ptr` has been unlinked from every shared location before retiring it.
     unsafe fn retire<T: Send + 'static>(&mut self, ptr: Shared<T>) {
+        let handle = &mut *self.handle;
+        let d = &*handle.domain;
+        // ORDERING: Relaxed — a stale epoch read only delays reclamation;
+        // safety comes from the two-era grace-period check.  The stamp only
+        // has to be no older than the epoch this thread announced at its last
+        // checkpoint (published with SeqCst there), and it reaches the
+        // recycler through the vault mutex.
+        let epoch = d.global_epoch.load(Ordering::Relaxed);
         // SAFETY: forwarded — the caller guarantees the retire contract.
-        unsafe { self.retire_batch(&[ptr]) };
+        let pending = unsafe { d.limbo.push(&d.core, handle.core.index(), ptr, Some(epoch)) };
+        // Epoch cadence: one bump per `epoch_freq` retirements.
+        handle.retire_count += 1;
+        if handle.retire_count >= d.core.config.epoch_freq() {
+            d.global_epoch.fetch_add(1, Ordering::SeqCst);
+            handle.retire_count = 0;
+        }
+        let threshold = d.core.config.scan_threshold;
+        if pending >= threshold && handle.scan() >= threshold {
+            // Still blocked: advance the epoch so lagging readers trip the
+            // displacement bound and re-announce.
+            handle.domain.global_epoch.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     // SAFETY: callers must guarantee `ptr` was never published to other threads.
@@ -339,43 +359,6 @@ impl SmrGuard for VbrGuard<'_> {
                 break e;
             }
         };
-    }
-
-    // SAFETY: callers must guarantee every pointer in `batch` satisfies the
-    // per-node `retire` contract (unlinked, owned, retired exactly once).
-    unsafe fn retire_batch<T: Send + 'static>(&mut self, batch: &[Shared<T>]) {
-        if batch.is_empty() {
-            return;
-        }
-        let handle = &mut *self.handle;
-        let d = &*handle.domain;
-        // ORDERING: Relaxed — a stale epoch read only delays reclamation;
-        // safety comes from the two-era grace-period check.  The stamp only
-        // has to be no older than the epoch this thread announced at its last
-        // checkpoint (published with SeqCst there), and it reaches the
-        // recycler through the vault mutex.
-        let epoch = d.global_epoch.load(Ordering::Relaxed);
-        // SAFETY: forwarded — the caller guarantees the retire contract for
-        // every element of the batch.
-        let pending = unsafe {
-            d.limbo
-                .push(&d.core, handle.core.index(), batch, Some(epoch))
-        };
-        // Epoch cadence: one bump per `epoch_freq` retirements, however they
-        // were batched (no division on the common no-bump path).
-        let freq = d.core.config.epoch_freq();
-        handle.retire_count += batch.len();
-        if handle.retire_count >= freq {
-            d.global_epoch
-                .fetch_add((handle.retire_count / freq) as u64, Ordering::SeqCst);
-            handle.retire_count %= freq;
-        }
-        let threshold = d.core.config.scan_threshold;
-        if pending >= threshold && handle.scan() >= threshold {
-            // Still blocked: advance the epoch so lagging readers trip the
-            // displacement bound and re-announce.
-            handle.domain.global_epoch.fetch_add(1, Ordering::SeqCst);
-        }
     }
 
     #[inline]

@@ -754,33 +754,6 @@ fn leaked_handle_on_dead_thread_is_adopted<S: Smr>(snapshot_scan: bool) {
 
 for_each_reclaiming_variant!(leaked_handle_on_dead_thread_is_adopted);
 
-/// `retire_batch` reclaims exactly like per-node `retire`: half the blocks go
-/// through each path, and after quiescence every destructor ran exactly once.
-fn retire_batch_reclaims_like_per_node_retire<S: Smr>(snapshot_scan: bool) {
-    let d = S::new(lifecycle_cfg(snapshot_scan));
-    let drops = Arc::new(AtomicUsize::new(0));
-    let mut h = d.register();
-    {
-        let mut g = h.pin();
-        let blocks: Vec<_> = (0..48).map(|_| g.alloc(Counted(drops.clone()))).collect();
-        let (single, batch) = blocks.split_at(24);
-        for &p in single {
-            // SAFETY: each block was just allocated and never published, so
-            // this thread is its sole owner and retires it exactly once.
-            unsafe { g.retire(p) };
-        }
-        // SAFETY: as above, for the other half.
-        unsafe { g.retire_batch(batch) };
-    }
-    for _ in 0..4 {
-        h.flush();
-    }
-    assert_eq!(d.unreclaimed(), 0, "{}", d.name());
-    assert_eq!(drops.load(Ordering::SeqCst), 48, "{}", d.name());
-}
-
-for_each_reclaiming_variant!(retire_batch_reclaims_like_per_node_retire);
-
 /// Domain teardown frees what no handle could: the vault of a handle leaked
 /// on a dead thread and never adopted, plus a block a departing handle had to
 /// leave behind (on the orphan list) because a reader still protected it.
